@@ -36,6 +36,95 @@ _NEWTON_MAX = 40
 _NEWTON_TOL = 1e-12
 
 
+def _newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -J^+ R per row for J: (M, K, r), R: (M, K).
+
+    Returns (step, singular): a row whose square Jacobian is exactly
+    singular gets no step and is flagged, so it fails alone instead of
+    stopping the rest of the batch.
+    """
+    M, K, r = J.shape
+    singular = np.zeros(M, dtype=bool)
+    if K != r:
+        step = np.stack([-np.linalg.lstsq(J[i], R[i], rcond=None)[0] for i in range(M)])
+        return step, singular
+    try:
+        return -np.linalg.solve(J, R[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros((M, r), dtype=np.complex128)
+    for i in range(M):
+        try:
+            step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
+def slice_newton(
+    variety: Variety, Y0: np.ndarray, dep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the dependent slice coordinates of a batch of points.
+
+    Y0: (N, n) start points; dep: (N, r) per-row indices of the coordinates
+    to solve, every other coordinate stays fixed.  Rows may belong to
+    different charts: each row's iterates, line search and convergence test
+    depend on that row alone, so a row gives the same point in any batch.
+    Returns (Y, ok) with a convergence mask at the 1e-10 membership test.
+    """
+    Y = np.array(Y0, dtype=np.complex128)
+    N = Y.shape[0]
+    dep = np.asarray(dep, dtype=np.intp).reshape(N, -1)
+    if dep.shape[1] == 0:
+        res = variety.residuals(Y)
+        ok = np.all(np.abs(res) <= 1e-9 * _membership_scales(variety, Y), axis=1)
+        return Y, ok
+    stuck = np.zeros(N, dtype=bool)
+    # residuals are kept from the line search of the rows a step moved
+    res = variety.residuals(Y)  # (N, K)
+    scale = _membership_scales(variety, Y)
+    for _ in range(_NEWTON_MAX):
+        ok = np.all(np.abs(res) <= _NEWTON_TOL * scale, axis=1)
+        rows = np.flatnonzero(~ok & ~stuck)
+        if rows.size == 0:
+            break
+        Ya = Y[rows]
+        da = dep[rows]
+        J = np.take_along_axis(variety.jacobian(Ya), da[:, None, :], axis=2)  # (M, K, r)
+        R = res[rows]
+        step, singular = _newton_steps(J, R)
+        stuck[rows[singular]] = True
+        bad = ~np.isfinite(step).all(axis=1)
+        step[bad] = 0.0
+        cur = np.take_along_axis(Ya, da, axis=1)
+        base = np.sum(np.abs(R) ** 2, axis=1)
+        alpha = np.ones(step.shape[0])
+        trial = cur + step
+        # halve each row's step until |Q|^2 does not grow; only the rows
+        # still being halved are evaluated again
+        res_t = np.empty_like(R)
+        todo = np.arange(step.shape[0])
+        for _ in range(15):
+            Yt = Ya[todo]
+            np.put_along_axis(Yt, da[todo], trial[todo], axis=1)
+            rt = variety.residuals(Yt)
+            res_t[todo] = rt
+            worse = np.sum(np.abs(rt) ** 2, axis=1) > base[todo] * (1 + 1e-12)
+            todo = todo[worse]
+            if todo.size == 0:
+                break
+            alpha[todo] *= 0.5
+            trial[todo] = cur[todo] + alpha[todo, None] * step[todo]
+        np.put_along_axis(Ya, da, trial, axis=1)
+        if todo.size:  # halved once more after their last evaluation
+            res_t[todo] = variety.residuals(Ya[todo])
+        Y[rows] = Ya
+        res[rows] = res_t
+        scale[rows] = _membership_scales(variety, Ya)
+    ok = np.all(np.abs(res) <= 1e-10 * scale, axis=1)
+    return Y, ok
+
+
 @dataclass(frozen=True, eq=False)
 class Chart:
     variety: Variety
@@ -49,75 +138,24 @@ class Chart:
 
     # -- slice solving ---------------------------------------------------
 
-    def slice_batch(
-        self, X: np.ndarray, warm: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def slice_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the dependent coordinates for a batch of free coordinates.
 
         X: (N, m) -> (Y, ok) with Y: (N, n) slice points (pivot fixed) and a
-        convergence mask.  `warm` optionally seeds the dependent coordinates.
+        convergence mask.  Newton starts from the anchor's dependent
+        coordinates, so it follows the anchor's branch of the slice.
         """
         X = np.asarray(X, dtype=np.complex128)
         if self.slice_dim == 0:
             N = X.shape[0] if X.ndim == 2 else 1
-            X = np.zeros((N, 0), dtype=np.complex128)
         else:
             X = X.reshape(-1, self.slice_dim)
             N = X.shape[0]
         Y = np.tile(self.anchor, (N, 1))
         if self.slice_dim:
             Y[:, list(self.free)] = X
-        if warm is not None:
-            Y[:, list(self.dep)] = warm
-        dep = list(self.dep)
-        if not dep:
-            res = self.variety.residuals(Y)
-            ok = np.all(
-                np.abs(res) <= 1e-9 * _membership_scales(self.variety, Y), axis=1
-            )
-            return Y, ok
-        ok = np.zeros(N, dtype=bool)
-        for _ in range(_NEWTON_MAX):
-            res = self.variety.residuals(Y)  # (N, K)
-            scale = _membership_scales(self.variety, Y)
-            ok = np.all(np.abs(res) <= _NEWTON_TOL * scale, axis=1)
-            active = ~ok
-            if not active.any():
-                break
-            J = self.variety.jacobian(Y[active])[:, :, dep]  # (M, K, r)
-            R = res[active]
-            if J.shape[1] == J.shape[2]:
-                try:
-                    step = -np.linalg.solve(J, R[:, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    break
-            else:
-                step = np.stack(
-                    [-np.linalg.lstsq(J[i], R[i], rcond=None)[0] for i in range(J.shape[0])]
-                )
-            bad = ~np.isfinite(step).all(axis=1)
-            step[bad] = 0.0
-            cur = Y[active][:, dep]
-            base = np.sum(np.abs(R) ** 2, axis=1)
-            alpha = np.ones(step.shape[0])
-            trial = cur + step
-            for _ in range(15):
-                Yt = Y[active].copy()
-                Yt[:, dep] = trial
-                cost = np.sum(np.abs(self.variety.residuals(Yt)) ** 2, axis=1)
-                worse = cost > base * (1 + 1e-12)
-                if not worse.any():
-                    break
-                alpha[worse] *= 0.5
-                trial[worse] = cur[worse] + alpha[worse, None] * step[worse]
-            Ya = Y[active]
-            Ya[:, dep] = trial
-            Y[active] = Ya
-        res = self.variety.residuals(Y)
-        ok = np.all(
-            np.abs(res) <= 1e-10 * _membership_scales(self.variety, Y), axis=1
-        )
-        return Y, ok
+        dep = np.tile(np.asarray(self.dep, dtype=np.intp), (N, 1))
+        return slice_newton(self.variety, Y, dep)
 
     def slice_point(self, x) -> np.ndarray:
         """One slice point y(x); raises NewtonDivergence on failure."""
@@ -146,10 +184,6 @@ class Chart:
         y = self.slice_point(x) if self.slice_dim else self.slice_point(self.x_anchor)
         return act(complex(s), self.variety.weights, y)
 
-    def eval_batch(self, S: np.ndarray, X: np.ndarray):
-        Y, ok = self.slice_batch(X)
-        return act(np.asarray(S, dtype=np.complex128), self.variety.weights, Y), ok
-
     def slice_jacobian(self, x, y: Optional[np.ndarray] = None) -> np.ndarray:
         """Ambient derivative dy/dx: (n, m); pivot row zero, free rows are
         unit vectors, dependent rows solve the linearized constraints."""
@@ -169,18 +203,6 @@ class Chart:
             out[idx, j] = 1.0
         out[list(self.dep), :] = D
         return out
-
-    def tangent_basis(self, s: complex, x=()) -> np.ndarray:
-        """Columns span the complex tangent space at Pi(s, x):
-        dPi/ds and dPi/dx_j; shape (n, d)."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        y = self.slice_point(x) if self.slice_dim else self.slice_point(self.x_anchor)
-        beta = self.variety.weights.as_array()
-        s = complex(s)
-        d_ds = beta * s ** (beta - 1) * y
-        Dy = self.slice_jacobian(x, y)
-        d_dx = (s ** beta)[:, None] * Dy
-        return np.column_stack([d_ds, d_dx])
 
     # -- inversion -------------------------------------------------------
 
@@ -251,7 +273,13 @@ class Chart:
 def _probe_domain_radius(chart_args: dict, x_anchor: np.ndarray) -> float:
     """Half the distance at which the slice Newton first fails along random
     rays from the anchor; cheap honest estimate of the implicit-function
-    neighborhood."""
+    neighborhood.
+
+    Every step of every ray is solved in one batch.  Each solve starts from
+    the anchor's branch, as `slice_batch` does for the chart's users, so the
+    radius bounds where that Newton still converges.  A ray's failure
+    distance is its first failing step, or the step after the last when
+    none fails."""
     m = len(x_anchor)
     if m == 0:
         return math.inf
@@ -260,20 +288,16 @@ def _probe_domain_radius(chart_args: dict, x_anchor: np.ndarray) -> float:
     n_rays = 2 * m + 4
     dirs = rng.standard_normal((n_rays, m)) + 1j * rng.standard_normal((n_rays, m))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    base = 0.05 * (1.0 + np.linalg.norm(x_anchor))
-    fail_at = []
-    for v in dirs:
-        t = base
-        last_ok = 0.0
-        for _ in range(14):
-            X = (x_anchor + t * v).reshape(1, -1)
-            _, ok = probe.slice_batch(X)
-            if not ok[0]:
-                break
-            last_ok = t
-            t *= 1.6
-        fail_at.append(t if last_ok < t else t * 1.6)
-    return 0.5 * float(min(fail_at))
+    n_steps = 14
+    ts = [0.05 * (1.0 + np.linalg.norm(x_anchor))]
+    for _ in range(n_steps):
+        ts.append(ts[-1] * 1.6)
+    ts = np.asarray(ts)
+    X = x_anchor + ts[:n_steps, None, None] * dirs[None, :, :]  # (steps, rays, m)
+    _, ok = probe.slice_batch(X.reshape(-1, m))
+    failed = ~ok.reshape(n_steps, n_rays)
+    first_fail = np.where(failed.any(axis=0), failed.argmax(axis=0), n_steps)
+    return 0.5 * float(ts[first_fail].min())
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def bump_dbar_form(
     h: SparsePolynomial, r0: float, R: float
 ) -> ZeroOneForm:
     """Exactly dbar-closed test form: lambda = dbar(h * chi) with h a
-    holomorphic polynomial and chi the C^1 radial plateau.
+    holomorphic polynomial and chi the C^3 radial plateau.
 
     Since h is holomorphic, lambda = h * chi'(|z|^2) * sum_k z_k dzbar_k.
     """

@@ -21,8 +21,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import Chart, build_chart
+from .charts import Chart, build_chart, slice_newton
 from .errors import (
+    DbarConeError,
     InsufficientSamples,
     NotACone,
     ProjectionFailure,
@@ -164,7 +165,7 @@ class ConeAtlas:
         for xi in link.points:
             try:
                 charts.append(build_chart(variety, xi))
-            except Exception:
+            except DbarConeError:
                 continue
         if not charts:
             raise InsufficientSamples("no usable chart anchors")
@@ -189,11 +190,32 @@ class ConeAtlas:
         self.volumes = np.array(
             [2.0 * math.pi * (2.0 * delta) ** (2 * self.m) for delta in self.deltas]
         )
+        # chart data stacked per chart, so that assign can test every point
+        # against its own candidate chart in one batch
+        A, r = len(charts), variety.ambient_dim - self.d
+        self._pivots = np.array([c.pivot for c in charts], dtype=np.intp)
+        self._anchors = np.stack([c.anchor for c in charts])
+        self._free = np.array([c.free for c in charts], dtype=np.intp).reshape(A, self.m)
+        self._dep = np.array([c.dep for c in charts], dtype=np.intp).reshape(A, r)
+        self._x_anchors = np.stack([c.x_anchor for c in charts]).reshape(A, self.m)
 
     def covers(self, chart_idx: int, pts: np.ndarray) -> np.ndarray:
         """Which unit link points lie in the box image of this chart."""
-        c = self.charts[chart_idx]
-        s = pts[:, c.pivot] / c.anchor[c.pivot]
+        return self._covered(np.full(pts.shape[0], chart_idx, dtype=np.intp), pts)
+
+    def _covered(self, idx: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Whether each unit link point pts[i] lies in the box image of chart
+        idx[i]: rescale it onto that chart's slice, test the parameter box,
+        and match it against the slice Newton solution.
+
+        Newton starts from the anchor's branch, never from the point's own
+        dependent coordinates: a point on another branch over the same free
+        coordinates (another line of a cone, the other square root of a
+        quadric) must fail the match, or two charts would count it."""
+        rows = np.arange(pts.shape[0])
+        pivots = self._pivots[idx]
+        start = self._anchors[idx]  # a copy; Newton starts at the anchor
+        s = pts[rows, pivots] / start[rows, pivots]
         good = np.abs(s) > 1e-12
         out = np.zeros(pts.shape[0], dtype=bool)
         if not good.any():
@@ -201,29 +223,36 @@ class ConeAtlas:
         Y = np.zeros_like(pts)
         Y[good] = pts[good] / s[good, None]
         if self.m:
-            X = Y[:, list(c.free)]
-            diff = X - c.x_anchor[None, :]
+            free = self._free[idx]
+            X = np.take_along_axis(Y, free, axis=1)
+            diff = X - self._x_anchors[idx]
+            delta = self.deltas[idx][:, None]
             inbox = good & np.all(
-                (np.abs(diff.real) <= self.deltas[chart_idx])
-                & (np.abs(diff.imag) <= self.deltas[chart_idx]),
-                axis=1,
+                (np.abs(diff.real) <= delta) & (np.abs(diff.imag) <= delta), axis=1
             )
+            np.put_along_axis(start, free, X, axis=1)
         else:
-            X = np.zeros((pts.shape[0], 0), complex)
             inbox = good
         if not inbox.any():
             return out
-        Ysol, ok = c.slice_batch(X[inbox])
+        Ysol, ok = slice_newton(self.variety, start[inbox], self._dep[idx[inbox]])
         match = ok & (
             np.linalg.norm(Ysol - Y[inbox], axis=1)
             <= 1e-6 * (1.0 + np.linalg.norm(Y[inbox], axis=1))
         )
-        out[np.flatnonzero(inbox)] = match
+        out[inbox] = match
         return out
 
     def assign(self, pts: np.ndarray) -> np.ndarray:
         """Index of the nearest covering chart per unit link point; -1 when
-        no chart covers a point (a coverage gap)."""
+        no chart covers a point (a coverage gap).
+
+        Rank by rank, every still undecided point is tested against its
+        rank-th nearest anchor's chart in one batch (box test and slice
+        Newton), so a point gets the nearest chart that covers it.  Each
+        Newton starts from its chart anchor's branch: started from the
+        point itself it would accept points on another branch of the slice,
+        which another chart also counts."""
         N = pts.shape[0]
         A = len(self.charts)
         dists = np.linalg.norm(pts[:, None, :] - self.unit_anchors[None, :, :], axis=2)
@@ -231,17 +260,13 @@ class ConeAtlas:
         result = np.full(N, -1, dtype=int)
         undecided = np.ones(N, dtype=bool)
         for rank in range(A):
-            if not undecided.any():
+            todo = np.flatnonzero(undecided)
+            if todo.size == 0:
                 break
-            cand = order[:, rank]
-            for j in range(A):
-                sel = undecided & (cand == j)
-                if not sel.any():
-                    continue
-                hit = self.covers(j, pts[sel])
-                idx = np.flatnonzero(sel)[hit]
-                result[idx] = j
-                undecided[idx] = False
+            cand = order[todo, rank]
+            hit = self._covered(cand, pts[todo])
+            result[todo[hit]] = cand[hit]
+            undecided[todo[hit]] = False
         return result
 
     def link_gram(self, chart_idx: int, Y: np.ndarray) -> np.ndarray:

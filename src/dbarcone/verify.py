@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charts import Chart, build_chart
-from .errors import StepTooSmall
+from .errors import DbarConeError, StepTooSmall
 from .forms import ZeroOneForm
 from .measure import (
     ConeAtlas,
@@ -216,7 +216,7 @@ def holder_report(
     for xi in link.points:
         try:
             charts.append(build_chart(variety, xi))
-        except Exception:
+        except DbarConeError:
             continue
     if not charts:
         raise ValueError("no chart anchors available")

@@ -2,10 +2,14 @@
 
 These deliberately avoid the package's adaptive quadrature: planar
 transforms are brute-force midpoint grid sums with the Cauchy singularity
-subtracted analytically, and pullbacks are finite differences through the
-chart map."""
+subtracted analytically, pullbacks are finite differences through the
+chart map, and the batched chart code is checked against one-point,
+one-chart loops."""
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 
@@ -80,3 +84,53 @@ def fd_chart_pullback(chart, form, s: complex, x, h: float = 1e-6):
         d_j = (chart.eval(s, xp) - chart.eval(s, xm)) / (2 * h)
         FJ.append(complex(np.sum(fvals * np.conj(d_j))))
     return F0, np.asarray(FJ, dtype=np.complex128)
+
+
+def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:
+    """Reference for ConeAtlas.assign, one point at a time: the index of the
+    nearest anchor whose chart covers the point (one `covers` call per
+    point and chart, nearest first), or -1 when none does."""
+    out = np.full(pts.shape[0], -1, dtype=int)
+    for i, p in enumerate(pts):
+        dists = np.linalg.norm(atlas.unit_anchors - p, axis=1)
+        for j in np.argsort(dists):
+            if atlas.covers(int(j), p[None, :])[0]:
+                out[i] = j
+                break
+    return out
+
+
+def in_box(atlas, j: int, pts: np.ndarray) -> np.ndarray:
+    """Whether each unit point's slice coordinates for chart j fall in that
+    chart's parameter box."""
+    c, delta = atlas.charts[j], atlas.deltas[j]
+    s = pts[:, c.pivot] / c.anchor[c.pivot]
+    hit = np.zeros(pts.shape[0], dtype=bool)
+    for i in np.flatnonzero(np.abs(s) > 1e-12):
+        diff = pts[i, list(c.free)] / s[i] - c.x_anchor
+        hit[i] = np.all((np.abs(diff.real) <= delta) & (np.abs(diff.imag) <= delta))
+    return hit
+
+
+def probe_radius_by_rays(chart) -> float:
+    """Reference for the domain radius of a chart with m >= 1: walk each of
+    the 2m + 4 seeded random rays from x_anchor outwards in steps growing
+    by 1.6, one slice Newton per step, and stop the ray at its first
+    failure; half the smallest failure distance."""
+    probe = dataclasses.replace(chart, domain_radius=math.inf)
+    m = chart.slice_dim
+    rng = np.random.default_rng(0x271828)
+    n_rays = 2 * m + 4
+    dirs = rng.standard_normal((n_rays, m)) + 1j * rng.standard_normal((n_rays, m))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    base = 0.05 * (1.0 + np.linalg.norm(chart.x_anchor))
+    fail_at = []
+    for v in dirs:
+        t = base
+        for _ in range(14):
+            _, ok = probe.slice_batch((chart.x_anchor + t * v).reshape(1, -1))
+            if not ok[0]:
+                break
+            t *= 1.6
+        fail_at.append(t)
+    return 0.5 * float(min(fail_at))

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from dbarcone.charts import build_chart
+from dbarcone.charts import Chart, build_chart, slice_newton
 from dbarcone.errors import (
     NotInChart,
     OutsideChartDomain,
     PivotTooSmall,
     SingularAnchor,
 )
-from dbarcone.fixtures import cusp, line2, make_form, quadric_cone
+from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
+from dbarcone.measure import sample_link
 from dbarcone.variety import act, contains, is_regular
 
-from oracles import fd_chart_pullback
+from oracles import fd_chart_pullback, probe_radius_by_rays
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -188,3 +189,73 @@ def test_pulled_back_form_wrapper(quadric_chart):
     z = chart_eval(quadric_chart, s, x)
     s2, x2 = chart_invert(quadric_chart, z)
     assert abs(s2 - s) < 1e-9
+
+
+def test_singular_row_fails_alone():
+    # z2 = 0 makes dQ/dz2 = -6 z2^5 exactly zero: that row cannot take a
+    # Newton step, and the rows next to it must still converge as if alone
+    V = cone6()
+    ch = build_chart(V, [1.0, 1.0])
+    assert ch.dep == (1,)
+    starts = np.tile(ch.anchor, (5, 1))
+    starts[:, 1] += [0.05, -0.1j, 0.0, 0.08 + 0.03j, 0.02]
+    starts[2, 1] = 0.0
+    dep = np.tile(ch.dep, (5, 1))
+    Y, ok = slice_newton(V, starts, dep)
+    assert ok.tolist() == [True, True, False, True, True]
+    for i in (0, 1, 3, 4):
+        Y1, ok1 = slice_newton(V, starts[i : i + 1], dep[i : i + 1])
+        assert ok1[0]
+        assert np.array_equal(Y[i], Y1[0])
+        assert abs(Y[i, 1] - 1.0) < 1e-12  # the anchor's branch
+
+
+def test_slice_newton_rows_match_across_charts():
+    # one batch over several charts gives each row the point its own chart's
+    # slice_batch gives
+    V = quadric_cone()
+    charts = [build_chart(V, p) for p in sample_link(V, 3, 19).points]
+    rng = np.random.default_rng(4)
+    starts, deps, solo = [], [], []
+    for ch in charts:
+        X = ch.x_anchor + 0.2 * (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
+        Y, ok = ch.slice_batch(X)
+        assert ok.all()
+        start = np.tile(ch.anchor, (4, 1))
+        start[:, list(ch.free)] = X
+        starts.append(start)
+        deps.append(np.tile(ch.dep, (4, 1)))
+        solo.append(Y)
+    Y, ok = slice_newton(V, np.concatenate(starts), np.concatenate(deps))
+    assert ok.all()
+    assert np.array_equal(Y, np.concatenate(solo))
+
+
+def test_domain_radius_matches_ray_loop():
+    V = quadric_cone()
+    for p in sample_link(V, 24, 61).points:
+        ch = build_chart(V, p)
+        assert ch.domain_radius == probe_radius_by_rays(ch)
+
+
+def test_domain_radius_takes_first_failing_step(monkeypatch):
+    # no quadric ray fails within the probe's 14 steps, so make the slice
+    # Newton fail in a band of distances from x_anchor that some rays cross
+    # only partly: the radius must come from each ray's first failure, as
+    # in the loop that stops a ray there
+    solve = Chart.slice_batch
+
+    def banded(self, X):
+        Y, ok = solve(self, X)
+        d = np.abs(np.asarray(X).reshape(len(ok), -1)[:, 0] - self.x_anchor[0])
+        phase = np.angle(np.asarray(X).reshape(len(ok), -1)[:, 0] - self.x_anchor[0])
+        return Y, ok & ~((d > 0.4) & (d < 1.5) & (phase > 0.0))
+
+    monkeypatch.setattr(Chart, "slice_batch", banded)
+    V = quadric_cone()
+    radii = []
+    for p in sample_link(V, 6, 62).points:
+        ch = build_chart(V, p)
+        radii.append(ch.domain_radius)
+        assert ch.domain_radius == probe_radius_by_rays(ch)
+    assert max(radii) < 1.0  # the band was hit

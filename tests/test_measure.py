@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dbarcone.errors import NotACone
+from dbarcone import measure
+from dbarcone.errors import NotACone, SingularAnchor
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
+    ConeAtlas,
     dist_sigma,
     dist_sigma_path,
     l2_norm_form,
@@ -13,6 +15,8 @@ from dbarcone.measure import (
     surface_integral,
 )
 from dbarcone.variety import gradient
+
+from oracles import in_box, nearest_covering_chart
 
 
 def test_sample_link_line():
@@ -164,3 +168,51 @@ def test_dist_to_origin_and_near_singular_flag():
     # antipodal-ish pair on a cone routes near the origin
     path = dist_sigma_path(V, z * 0.5, -z * 0.5)
     assert path.length >= np.linalg.norm(z) * 0.5
+
+
+@pytest.mark.parametrize(
+    "make, n_anchors", [(quadric_cone, 24), (quadric_cone, 4), (cone6, 24), (cone6, 3)]
+)
+def test_assign_matches_nearest_covering_loop(make, n_anchors):
+    V = make()
+    atlas = ConeAtlas(V, n_anchors, 41)
+    link = sample_link(V, 100, 97).points
+    # ambient points off the cone: every chart rejects them, by the box
+    # test or by the Newton match, so assign tries all ranks
+    rng = np.random.default_rng(98)
+    off = rng.standard_normal((20, V.ambient_dim)) + 1j * rng.standard_normal((20, V.ambient_dim))
+    pts = np.concatenate([link, off])
+    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+    ref = nearest_covering_chart(atlas, unit)
+    assert np.array_equal(atlas.assign(unit), ref)
+    assert (ref[:100] >= 0).any() and (ref[100:] < 0).all()
+    if n_anchors < 24:
+        # the small atlases leave gaps on the link too: quadric points on
+        # the other square root, cone6 points on lines no anchor lies on
+        assert (ref[:100] < 0).any()
+    if atlas.m:
+        assert not all(in_box(atlas, j, unit).all() for j in range(len(atlas.charts)))
+
+
+def test_atlas_skips_failed_charts(monkeypatch):
+    build = measure.build_chart
+    calls = []
+
+    def first_fails(variety, anchor):
+        calls.append(anchor)
+        if len(calls) == 1:
+            raise SingularAnchor("first anchor rejected")
+        return build(variety, anchor)
+
+    monkeypatch.setattr(measure, "build_chart", first_fails)
+    atlas = ConeAtlas(quadric_cone(), 5, 3)
+    assert len(calls) == 5 and len(atlas.charts) == 4
+
+
+def test_atlas_build_propagates_unexpected_errors(monkeypatch):
+    def broken(variety, anchor):
+        raise RuntimeError("bug in chart construction")
+
+    monkeypatch.setattr(measure, "build_chart", broken)
+    with pytest.raises(RuntimeError, match="bug in chart construction"):
+        ConeAtlas(quadric_cone(), 5, 3)
