@@ -2,7 +2,7 @@
 
 Subcommands:
     dbar-cone run <config.json> [--reproducible] [--out PATH]
-                  [--format json|csv] [--seed N] [--threads N]
+                  [--format json|csv] [--seed N]
     dbar-cone check <config.json>
     dbar-cone fixtures
 
@@ -504,7 +504,6 @@ def run(
     out_format: Optional[str] = None,
     seed_override: Optional[int] = None,
     reproducible: bool = False,
-    threads: Optional[int] = None,
 ) -> tuple[int, dict]:
     """Execute the configured job; returns (exit_code, report)."""
     seed = config.seed if seed_override is None else seed_override
@@ -515,7 +514,6 @@ def run(
         "config": config.to_dict(),
         "seed": seed,
         "reproducible": reproducible,
-        "threads": threads,
     }
     if not reproducible:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -566,8 +564,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--out", default=None, help="report output path")
     p_run.add_argument("--format", choices=("json", "csv"), default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="reserved; execution is vectorized single-process")
     p_check = sub.add_parser("check", help="parse and validate a config, then exit")
     p_check.add_argument("config")
     sub.add_parser("fixtures", help="list builtin varieties and forms")
@@ -605,7 +601,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         out_format=args.format,
         seed_override=args.seed,
         reproducible=args.reproducible,
-        threads=args.threads,
     )
     if code != 0:
         err = report.get("error", {})

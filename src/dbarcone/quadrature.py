@@ -10,10 +10,17 @@ distance to the cell boundary (the support circle, clipped by perpendicular
 bisectors when several singular points tile the disk into Voronoi cells).
 The polar Jacobian cancels 1/|w - pole| singularities exactly and the
 boundaries become coordinate lines, so panels are plain rectangles in the
-transformed (radius, angle) plane that are refined adaptively.  Radial
-panels are geometric rings down to the exclusion radius epsilon around each
-singular point; the mass of the excluded epsilon-disk is estimated and added
-to the error estimate, never to the value.
+transformed (radius, angle) plane that are refined adaptively.  The radius
+is linear in the transformed coordinate: the Jacobian r already cancels a
+1/(w - pole) kernel, so the integrand is smooth up to the pole and needs no
+geometric grading (Duffy-type cancellation).  The error estimate is the sum
+of |coarse - fine| over the panels, each a panel's Gauss value against the
+sum over its four quadrants.
+
+By default nothing is excluded.  An explicit `singular_exclusion` epsilon
+leaves out the disk |w - pole| < epsilon around each singular point; its
+mass is estimated heuristically and added to the error estimate, never to
+the value.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularOverlap
 
-_EPS_FRACTION = 1e-5  # default singular exclusion: 1e-5 * truncation radius
-_T_FLOOR = 1e-14
+_N_U = 12  # equal initial radial panels per sweep
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,7 @@ class QuadratureParams:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_refinement_depth: int = 14
-    singular_exclusion: Optional[float] = None  # None -> 1e-5 * truncation radius
+    singular_exclusion: Optional[float] = None  # None -> no exclusion
     base_rule: str = "gauss8"
     max_panels: int = 24000
 
@@ -74,15 +80,13 @@ class PlanarIntegrand:
 
 @dataclass
 class _Sweep:
-    """Polar sweep around `pole` with radial coordinate u in [0, 1].
-
-    Linear mode (no singularity at the pole): r = u * rho(theta).
-    Geometric mode: r = eps * (rho(theta)/eps)^u, so u-panels are geometric
-    rings from the exclusion circle |w - pole| = eps out to the boundary.
+    """Polar sweep around `pole` with radial coordinate u in [0, 1]:
+    r = eps + u * (rho(theta) - eps), from the exclusion circle
+    |w - pole| = eps (eps = 0 unless an exclusion is asked for) out to the
+    cell boundary.
     """
 
     pole: complex
-    geom_radial: bool
     eps: float
     W: float
     others: tuple[complex, ...] = field(default_factory=tuple)
@@ -104,14 +108,9 @@ class _Sweep:
 
     def points(self, u: np.ndarray, theta: np.ndarray):
         """Map transformed coords to w; returns (w, area_factor)."""
-        rho = self.rho(theta)
-        if self.geom_radial:
-            span = np.log(rho / self.eps)
-            r = self.eps * np.exp(u * span)
-            factor = r * r * span  # dA = r dr dtheta, dr/du = r * span
-        else:
-            r = u * rho
-            factor = u * rho * rho
+        span = self.rho(theta) - self.eps
+        r = self.eps + u * span
+        factor = r * span  # dA = r dr dtheta, dr/du = span
         w = self.pole + r * np.exp(1j * theta)
         return w, factor
 
@@ -146,34 +145,26 @@ def _eval_rects(sweep: _Sweep, K, rects: np.ndarray, order: int) -> np.ndarray:
     return np.sum(J * W2 * scale, axis=(1, 2))
 
 
-def _children(rect) -> list[tuple[float, float, float, float]]:
-    u0, u1, t0, t1 = rect
+def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray, order: int):
+    """Evaluate the four quadrants of each rect (R, 4) whose own value is
+    `coarse` (R,).  Returns the quadrants (R, 4, 4), their values (R, 4), the
+    fine values (R,) and the discrepancies |coarse - fine| (R,)."""
+    u0, u1, t0, t1 = rects.T
     um, tm = 0.5 * (u0 + u1), 0.5 * (t0 + t1)
-    return [(u0, um, t0, tm), (u0, um, tm, t1), (um, u1, t0, tm), (um, u1, tm, t1)]
-
-
-def _panel_batch(sweep: _Sweep, K, rects: list, order: int):
-    """Coarse/fine values and discrepancies for a batch of rects."""
-    all_rects = []
-    for r in rects:
-        all_rects.append(r)
-        all_rects.extend(_children(r))
-    vals = _eval_rects(sweep, K, np.asarray(all_rects, dtype=np.float64), order)
-    out = []
-    for i in range(len(rects)):
-        coarse = vals[5 * i]
-        fine = vals[5 * i + 1 : 5 * i + 5].sum()
-        out.append((fine, abs(coarse - fine)))
-    return out
+    kids = np.stack(
+        [u0, um, t0, tm, u0, um, tm, t1, um, u1, t0, tm, um, u1, tm, t1], axis=-1
+    ).reshape(-1, 4, 4)
+    kid_vals = _eval_rects(sweep, K, kids.reshape(-1, 4), order).reshape(-1, 4)
+    fine = kid_vals.sum(axis=1)
+    d = coarse - fine
+    # hypot equals abs() of each complex number bit for bit; np.abs on a
+    # complex array takes a SIMD path that can differ in the last bit
+    return kids, kid_vals, fine, np.hypot(d.real, d.imag)
 
 
 def _build_sweeps(integrand: PlanarIntegrand, params: QuadratureParams) -> list[_Sweep]:
     W = float(integrand.truncation_radius)
-    eps = (
-        params.singular_exclusion
-        if params.singular_exclusion is not None
-        else _EPS_FRACTION * W
-    )
+    eps = params.singular_exclusion or 0.0
     active = [complex(a) for a in integrand.singular_points if abs(a) < W * (1 - 1e-12)]
     for i in range(len(active)):
         for j in range(i + 1, len(active)):
@@ -184,19 +175,17 @@ def _build_sweeps(integrand: PlanarIntegrand, params: QuadratureParams) -> list[
 
     sweeps: list[_Sweep] = []
     if not active:
-        sweeps.append(_Sweep(pole=0j, geom_radial=False, eps=0.0, W=W))
+        sweeps.append(_Sweep(pole=0j, eps=0.0, W=W))
         return sweeps
 
     for a in active:
         clearance = min(
             [abs(a - b) / 2.0 for b in active if b != a] + [W - abs(a)]
         )
-        eps_a = max(min(eps, 0.25 * clearance), _T_FLOOR * W)
         sweeps.append(
             _Sweep(
                 pole=a,
-                geom_radial=True,
-                eps=eps_a,
+                eps=min(eps, 0.25 * clearance),
                 W=W,
                 others=tuple(b for b in active if b != a),
             )
@@ -240,13 +229,8 @@ def _kink_angles(sweep: _Sweep) -> list[float]:
     return [math.atan2((p - a).imag, (p - a).real) % (2 * math.pi) for p in pts if p != a]
 
 
-def _initial_rects(sweep: _Sweep) -> list[tuple[float, float, float, float]]:
-    if sweep.geom_radial:
-        span = math.log((sweep.W + abs(sweep.pole)) / sweep.eps)
-        n_u = max(4, int(math.ceil(span / 2.0)))
-    else:
-        n_u = 6
-    ub = np.linspace(0.0, 1.0, n_u + 1)
+def _initial_rects(sweep: _Sweep) -> np.ndarray:
+    ub = np.linspace(0.0, 1.0, _N_U + 1)
     # theta grid aligned to branch switches of rho, then filled to <= pi/4
     knots = sorted(set(round(t, 14) for t in _kink_angles(sweep)))
     if not knots:
@@ -257,22 +241,27 @@ def _initial_rects(sweep: _Sweep) -> list[tuple[float, float, float, float]]:
         pieces = max(1, int(math.ceil((t1 - t0) / (math.pi / 4.0))))
         bounds.extend(t0 + (t1 - t0) * k / pieces for k in range(pieces))
     bounds.append(knots[0] + 2 * math.pi)
-    return [
-        (ub[i], ub[i + 1], bounds[j], bounds[j + 1])
-        for i in range(n_u)
-        for j in range(len(bounds) - 1)
-    ]
+    return np.array(
+        [
+            (ub[i], ub[i + 1], bounds[j], bounds[j + 1])
+            for i in range(_N_U)
+            for j in range(len(bounds) - 1)
+        ],
+        dtype=np.float64,
+    )
 
 
 def _excluded_mass(sweep: _Sweep, K) -> float:
-    """Bound the |K| mass of the excluded eps-disk around the pole (dA units).
+    """Estimate the |K| mass of the excluded eps-disk around the pole (dA
+    units); 0 when nothing is excluded.
 
-    For 1/|w - pole| kernels, |K * r| is roughly constant near the pole, so
-    the mass is at most max|K * r| * 2 pi * eps (times a factor-2 safety).
-    The signed contribution is typically far smaller because the kernel's
-    angular average cancels over the symmetric disk.
+    A heuristic, not a bound: for 1/|w - pole| kernels |K * r| is roughly
+    constant near the pole, so the mass is about max|K * r| * 2 pi * eps,
+    with the max taken over 32 points of the exclusion circle and doubled
+    for safety.  The signed contribution is typically far smaller because
+    the kernel's angular average cancels over the symmetric disk.
     """
-    if not sweep.geom_radial:
+    if sweep.eps == 0.0:
         return 0.0
     theta = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
     w = sweep.pole + sweep.eps * np.exp(1j * theta)
@@ -281,14 +270,25 @@ def _excluded_mass(sweep: _Sweep, K) -> float:
     return 2.0 * math.pi * sweep.eps * m_hat * 2.0
 
 
+def _budget_state(panels: list, err: float, integrand: PlanarIntegrand) -> str:
+    """What a NoConvergence message reports besides the budget that ran out."""
+    poles = ", ".join(f"{complex(a):.6g}" for a in integrand.singular_points) or "none"
+    return (
+        f"with {len(panels)} panels at estimated error {2 * err:.3e} "
+        f"(truncation radius {float(integrand.truncation_radius):.6g}, "
+        f"singular points {poles})"
+    )
+
+
 def integrate_plane(
     integrand: PlanarIntegrand, params: QuadratureParams = QuadratureParams()
 ) -> tuple[complex, float]:
     """Integral of K(w) dw ^ dwbar = -2i * integral of K dA over |w| <= W.
 
-    Returns (value, error_estimate); the estimate combines refinement
-    differencing with the bound on the mass excluded around singular points.
-    Raises NoConvergence when the refinement budget runs out first.
+    Returns (value, error_estimate); the estimate is the refinement
+    differencing plus, under an explicit `singular_exclusion`, the estimated
+    mass excluded around singular points.  Raises NoConvergence, naming the
+    budget, when `max_panels` or `max_refinement_depth` runs out first.
     """
     W = float(integrand.truncation_radius)
     if not math.isfinite(W):
@@ -299,18 +299,22 @@ def integrate_plane(
     K = integrand.evaluate
     sweeps = _build_sweeps(integrand, params)
 
-    panels = []  # entries: [-disc, seq, sweep_idx, depth, rect, value, disc]
+    # entries: [-disc, seq, sweep_idx, depth, value, disc, quadrants (4, 4),
+    # quadrant values (4,)]; refining a panel reuses its quadrant values as
+    # the children's coarse values, so no rect is ever evaluated twice
+    panels = []
     seq = 0
     for si, sw in enumerate(sweeps):
         rects = _initial_rects(sw)
-        for rect, (val, disc) in zip(rects, _panel_batch(sw, K, rects, order)):
-            panels.append([-disc, seq, si, 0, rect, val, disc])
+        coarse = _eval_rects(sw, K, rects, order)
+        for kids, kid_vals, val, disc in zip(*_split(sw, K, rects, coarse, order)):
+            panels.append([-disc, seq, si, 0, val, disc, kids, kid_vals])
             seq += 1
     eps_mass = sum(_excluded_mass(sw, K) for sw in sweeps)
 
     heapq.heapify(panels)
-    total = sum(p[5] for p in panels)
-    err = sum(p[6] for p in panels)
+    total = sum(p[4] for p in panels)
+    err = sum(p[5] for p in panels)
 
     while True:
         # tolerances are stated for the final value, which carries |-2i| = 2
@@ -332,29 +336,27 @@ def integrate_plane(
             heapq.heappush(panels, p)
         if not batch:
             raise NoConvergence(
-                f"refinement exhausted at estimated error {2 * (err + eps_mass):.3e}"
+                f"max_refinement_depth {params.max_refinement_depth} reached "
+                f"{_budget_state(panels, err + eps_mass, integrand)}"
             )
         if len(panels) + 4 * len(batch) > params.max_panels:
             raise NoConvergence(
-                f"panel budget {params.max_panels} exhausted at estimated error "
-                f"{2 * (err + eps_mass):.3e}"
+                f"max_panels {params.max_panels} exhausted "
+                f"{_budget_state(panels, err + eps_mass, integrand)}"
             )
         by_sweep: dict[int, list] = {}
         for p in batch:
             by_sweep.setdefault(p[2], []).append(p)
         for si, group in by_sweep.items():
-            sw = sweeps[si]
-            kids = []
-            for p in group:
-                kids.extend(_children(p[4]))
-            results = _panel_batch(sw, K, kids, order)
+            rects = np.concatenate([p[6] for p in group])
+            coarse = np.concatenate([p[7] for p in group])
+            results = _split(sweeps[si], K, rects, coarse, order)
             for gi, p in enumerate(group):
-                total -= p[5]
-                err -= p[6]
-                for ci in range(4):
-                    val, disc = results[4 * gi + ci]
-                    rect = kids[4 * gi + ci]
-                    heapq.heappush(panels, [-disc, seq, si, p[3] + 1, rect, val, disc])
+                total -= p[4]
+                err -= p[5]
+                for ci in range(4 * gi, 4 * gi + 4):
+                    kids, kid_vals, val, disc = (a[ci] for a in results)
+                    heapq.heappush(panels, [-disc, seq, si, p[3] + 1, val, disc, kids, kid_vals])
                     seq += 1
                     total += val
                     err += disc

@@ -98,7 +98,6 @@ def dbar_residual(
     anchor,
     n_samples: int,
     fd_step: float,
-    params: QuadratureParams = QuadratureParams(),
     rng_seed: int = 0,
     check_step: bool = True,
 ) -> ResidualReport:
@@ -109,7 +108,6 @@ def dbar_residual(
     step-halving probe raises StepTooSmall when quadrature noise dominates
     the finite differences.
     """
-    del params  # tolerances are owned by the solver handle
     chart = build_chart(variety, anchor)
     rng = np.random.default_rng(rng_seed)
     norm = 1.0 + form.sup_bound

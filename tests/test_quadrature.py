@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,42 @@ def test_two_singular_points():
         QuadratureParams(rel_tol=1e-8, abs_tol=1e-10),
     )
     assert abs(v - 2j * np.pi) < 1e-6
+
+
+def test_no_convergence_names_exhausted_budget():
+    def K(w):
+        return (np.abs(w - 0.3) < 0.4).astype(complex) / (w - 0.5)
+
+    integrand = PlanarIntegrand(evaluate=K, singular_points=(0.5 + 0j,), truncation_radius=1.0)
+    budgets = (
+        ({"max_panels": 600}, "max_panels 600 exhausted"),
+        ({"max_refinement_depth": 2}, "max_refinement_depth 2 reached"),
+    )
+    for budget, budget_text in budgets:
+        with pytest.raises(NoConvergence) as info:
+            integrate_plane(integrand, QuadratureParams(rel_tol=1e-12, abs_tol=1e-14, **budget))
+        assert re.fullmatch(
+            budget_text + r" with \d+ panels at estimated error \S+ "
+            r"\(truncation radius 1, singular points 0\.5\+0j\)",
+            str(info.value),
+        ), str(info.value)
+
+
+def test_refinement_evaluates_no_point_twice():
+    # a panel's four quadrants are evaluated once, for its fine value, and
+    # reused as the coarse values of its children when it is refined
+    seen = []
+
+    def K(w):
+        seen.append(w.copy())
+        return np.maximum(1.0 - np.abs(w) ** 2, 0.0) ** 3 / (w - 0.2)
+
+    integrate_plane(
+        PlanarIntegrand(evaluate=K, singular_points=(0.2 + 0j,), truncation_radius=2.0), TIGHT
+    )
+    w = np.concatenate(seen)
+    assert len(seen) > 2  # the initial panels were refined
+    assert len(np.unique(w)) == len(w)
 
 
 def test_no_convergence_reported():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbarcone.errors import NotACone, NotOnVariety, ZeroScaleWithWeight
-from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
+from dbarcone.fixtures import cone6, cusp, line2, make_form, make_variety, quadric_cone
 from dbarcone.forms import combine_forms, radial_cutoff, scale_form
+from dbarcone.measure import sample_link
 from dbarcone.quadrature import QuadratureParams
 from dbarcone.solver import (
     solve,
@@ -88,6 +89,37 @@ def test_line_solution_is_pompeiu_identity(bump2):
     mine = solve(L, bump2, np.array([z1, 0.0]), PARAMS).value
     exact = (1.0 + 0.5 * z1) * radial_cutoff(np.array([[z1, 0.0]]), 0.3, 1.0)[0]
     assert abs(mine - exact) < 1e-9
+
+
+def _bump_solution_error(variety, form, z, op):
+    """(|g - h chi|, reported error) for the suite's bump-dbar family: along
+    every orbit h chi has compact support, so both operators return it."""
+    res = op(variety, form, z, PARAMS)
+    exact = (1.0 + 0.5 * z[0]) * radial_cutoff(z[None, :], 0.3, 1.0)[0]
+    return abs(res.value - exact), res.quadrature_error
+
+
+@pytest.mark.parametrize("name", ["line2", "quadric-cone", "cusp", "cone6"])
+def test_reported_error_bounds_exact_solution(name):
+    V = make_variety(name)
+    n = V.ambient_dim
+    form = make_form("bump-dbar", n, h_terms=[((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.5)],
+                     r0=0.3, radius=1.0)
+    operators = (solve, solve_l2) if V.weights.is_unit else (solve,)
+    scales = (0.01 * np.exp(0.4j), 0.2 * np.exp(2.1j), 0.8 * np.exp(-1.3j))  # near, mid, far
+    for xi, s in zip(sample_link(V, len(scales), 17).points, scales):
+        z = act(s, V.weights, xi)
+        for op in operators:
+            err, est = _bump_solution_error(V, form, z, op)
+            assert err <= est, (name, op.__name__, z, err, est)
+
+
+def test_reported_error_bounds_near_line_point(bump2):
+    # with six initial radial panels per sweep this point converged falsely:
+    # estimate 2.0e-10 against a true error of 1.0e-9
+    z = np.array([0.0009364081160593808 - 0.0012061109576302937j, 0.0])
+    err, est = _bump_solution_error(line2(), bump2, z, solve)
+    assert err <= est
 
 
 def test_solve_scaled_consistency(bump3):
