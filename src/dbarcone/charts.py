@@ -8,15 +8,15 @@ neighborhood of the orbit through xi as
 where the slice point y(x) fixes the pivot coordinate, carries m = d - 1
 free coordinates x (chosen by pivoted QR on the slice Jacobian), and solves
 the remaining coordinates by Newton's method.  Charts also provide the
-pullback coefficients of a (0,1)-form through Pi and the implicit-function
-Jacobian used for tangent frames and surface measure.
+pullback coefficients of a (0,1)-form through Pi.  `slice_tangents` is the
+one implicit-function Jacobian dy/dx, batched: the pullback, the tangent
+frames and the surface measure all use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -125,6 +125,30 @@ def slice_newton(
     return Y, ok
 
 
+def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
+    """Ambient derivatives dy/dx at a batch of slice points: (M, n) ->
+    (M, n, m) for the free coordinates `free` and the solved ones `dep`.
+
+    The pivot row is zero, free rows are unit vectors, and the dependent
+    rows solve the linearized constraints J_dep D = -J_free point by point.
+    """
+    free, dep = list(free), list(dep)
+    M, n = Y.shape
+    m = len(free)
+    out = np.zeros((M, n, m), dtype=np.complex128)
+    if m == 0:
+        return out
+    J = variety.jacobian(Y)  # (M, K, n)
+    A, B = J[:, :, dep], J[:, :, free]  # (M, K, r), (M, K, m)
+    if A.shape[1] == A.shape[2]:
+        D = -np.linalg.solve(A, B)
+    else:
+        D = np.stack([-np.linalg.lstsq(A[i], B[i], rcond=None)[0] for i in range(M)])
+    out[:, free, np.arange(m)] = 1.0
+    out[:, dep, :] = D
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Chart:
     variety: Variety
@@ -180,29 +204,8 @@ class Chart:
 
     def eval(self, s: complex, x=()) -> np.ndarray:
         """Pi(s, x) = s^beta * y(x); Pi(0, x) = 0."""
-        x = self._check_domain(x)
-        y = self.slice_point(x) if self.slice_dim else self.slice_point(self.x_anchor)
+        y = self.slice_point(self._check_domain(x))
         return act(complex(s), self.variety.weights, y)
-
-    def slice_jacobian(self, x, y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Ambient derivative dy/dx: (n, m); pivot row zero, free rows are
-        unit vectors, dependent rows solve the linearized constraints."""
-        if self.slice_dim == 0:
-            return np.zeros((self.variety.ambient_dim, 0), dtype=np.complex128)
-        if y is None:
-            y = self.slice_point(x)
-        J = self.variety.jacobian(y)  # (K, n)
-        A = J[:, list(self.dep)]  # (K, r)
-        B = J[:, list(self.free)]  # (K, m)
-        if A.shape[0] == A.shape[1]:
-            D = -np.linalg.solve(A, B)
-        else:
-            D = -np.linalg.lstsq(A, B, rcond=None)[0]
-        out = np.zeros((self.variety.ambient_dim, self.slice_dim), dtype=np.complex128)
-        for j, idx in enumerate(self.free):
-            out[idx, j] = 1.0
-        out[list(self.dep), :] = D
-        return out
 
     # -- inversion -------------------------------------------------------
 
@@ -250,23 +253,14 @@ class Chart:
         F0  = sum_k f_k(Pi) beta_k conj(s^(beta_k - 1) y_k)
         F_j = sum_{k != pivot} f_k(Pi) conj(s^beta_k dy_k/dx_j)
         """
-        x = self._check_domain(x)
-        y = self.slice_point(x) if self.slice_dim else self.slice_point(self.x_anchor)
+        y = self.slice_point(self._check_domain(x))
         s = complex(s)
         beta = self.variety.weights.as_array()
         z = act(s, self.variety.weights, y)
         f = form.coeff_matrix(z.reshape(1, -1))[0]  # (n,)
         F0 = complex(np.sum(f * beta * np.conj(s ** (beta - 1) * y)))
-        if self.slice_dim == 0:
-            return F0, np.zeros(0, dtype=np.complex128)
-        Dy = self.slice_jacobian(x, y)
-        FJ = np.array(
-            [
-                complex(np.sum(f * np.conj(s ** beta * Dy[:, j])))
-                for j in range(self.slice_dim)
-            ],
-            dtype=np.complex128,
-        )
+        Dy = slice_tangents(self.variety, y[None, :], self.free, self.dep)[0]  # (n, m)
+        FJ = np.sum(f[:, None] * np.conj(s ** beta[:, None] * Dy), axis=0)
         return F0, FJ
 
 
@@ -298,33 +292,6 @@ def _probe_domain_radius(chart_args: dict, x_anchor: np.ndarray) -> float:
     failed = ~ok.reshape(n_steps, n_rays)
     first_fail = np.where(failed.any(axis=0), failed.argmax(axis=0), n_steps)
     return 0.5 * float(ts[first_fail].min())
-
-
-@dataclass(frozen=True)
-class PulledBackForm:
-    """Pullback of a (0,1)-form through a chart, as coefficient functions of
-    (s, x): F0 multiplies dsbar, Fj the slice differentials dxbar_j."""
-
-    chart: Chart
-    form: ZeroOneForm
-
-    def F0(self, s: complex, x=()) -> complex:
-        return self.chart.pullback_form(self.form, s, x)[0]
-
-    def Fj(self, s: complex, x=()) -> np.ndarray:
-        return self.chart.pullback_form(self.form, s, x)[1]
-
-
-def chart_eval(chart: Chart, s: complex, x=()) -> np.ndarray:
-    return chart.eval(s, x)
-
-
-def chart_invert(chart: Chart, z, tol: float = 1e-8) -> tuple[complex, np.ndarray]:
-    return chart.invert(z, tol)
-
-
-def pullback_form(chart: Chart, form: ZeroOneForm, s: complex, x=()):
-    return chart.pullback_form(form, s, x)
 
 
 def build_chart(

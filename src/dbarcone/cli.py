@@ -71,6 +71,10 @@ class RunConfig:
     monte_carlo: dict
     seed: int
     output: dict
+    # built from the specs above while parsing; left out of == and to_dict
+    variety: Variety = field(compare=False, repr=False)
+    form: ZeroOneForm = field(compare=False, repr=False)
+    params: QuadratureParams = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -277,7 +281,7 @@ def parse_config(text: str) -> RunConfig:
             _fail("config", f"missing required key {key!r}")
     variety_spec, variety = _parse_variety(raw["variety"], "variety")
     n = variety.ambient_dim
-    form_spec, _ = _parse_form(raw["form"], n, "form")
+    form_spec, form = _parse_form(raw["form"], n, "form")
     job = _parse_job(raw["job"], n, "job")
     quad = dict(_QUAD_DEFAULTS)
     if "quadrature" in raw:
@@ -294,7 +298,7 @@ def parse_config(text: str) -> RunConfig:
             else:
                 quad[k] = _number(v, f"quadrature.{k}", minimum=0.0)
     try:
-        QuadratureParams(**quad)
+        params = QuadratureParams(**quad)
     except ValueError as exc:
         _fail("quadrature", str(exc))
     mc = {"anchors": 24}
@@ -322,37 +326,14 @@ def parse_config(text: str) -> RunConfig:
         monte_carlo=mc,
         seed=seed,
         output=output,
+        variety=variety,
+        form=form,
+        params=params,
     )
 
 
 # ---------------------------------------------------------------------------
 # job execution
-
-
-def _build_objects(config: RunConfig):
-    if isinstance(config.variety_spec, str):
-        variety = make_variety(config.variety_spec)
-    else:
-        spec = config.variety_spec
-        w = Weights(tuple(spec["weights"]))
-        polys = [
-            SparsePolynomial.from_terms(
-                w.n, [(tuple(t["exponents"]), complex(t["re"], t["im"])) for t in p]
-            )
-            for p in spec["polynomials"]
-        ]
-        variety = Variety.build(w, polys, pure_dim=spec["pure_dim"])
-    fs = config.form_spec
-    kwargs: dict[str, Any] = {"radius": fs["radius"]}
-    if "r0" in fs:
-        kwargs["r0"] = fs["r0"]
-    if "h" in fs:
-        kwargs["h_terms"] = [
-            (tuple(t["exponents"]), complex(t["re"], t["im"])) for t in fs["h"]
-        ]
-    form = make_form(fs["builtin"], variety.ambient_dim, **kwargs)
-    params = QuadratureParams(**config.quadrature)
-    return variety, form, params
 
 
 def _cmplx(c: complex) -> dict:
@@ -367,7 +348,8 @@ def _point_cols(prefix: str, z) -> dict:
     return out
 
 
-def _run_job(config: RunConfig, variety: Variety, form: ZeroOneForm, params: QuadratureParams, seed: int):
+def _run_job(config: RunConfig, seed: int):
+    variety, form, params = config.variety, config.form, config.params
     job = config.job
     jt = job["type"]
     table: list[dict] = []
@@ -519,8 +501,7 @@ def run(
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     code = 0
     try:
-        variety, form, params = _build_objects(config)
-        results, table = _run_job(config, variety, form, params, seed)
+        results, table = _run_job(config, seed)
         report["results"] = results
         report["table"] = table
     except (DbarConeError, ValueError, OverflowError) as exc:

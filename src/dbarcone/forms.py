@@ -1,33 +1,32 @@
 """(0,1)-forms lambda = sum_k f_k dzbar_k with compact support.
 
-Coefficient functions are vectorized: they accept an (N, n) complex array
-of points and return an (N,) complex array.  The support cutoff |z| < R is
-enforced by the form itself, so coefficients may be defined ambiently.
+A form holds one vectorized field: it maps an (N, n) complex array of
+points to the (N, n) array of coefficients (f_1, ..., f_n) at those points.
+The support cutoff |z| < R is enforced by the form itself, so the field may
+be defined ambiently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .variety import SparsePolynomial
 
-CoeffFn = Callable[[np.ndarray], np.ndarray]
+Field = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class ZeroOneForm:
     n: int
-    coefficients: tuple[CoeffFn, ...]
+    field: Field  # (N, n) points -> (N, n) coefficients
     support_radius: float
     sup_bound: float
     dbar_closed: bool
 
     def __post_init__(self):
-        if len(self.coefficients) != self.n:
-            raise ValueError("need one coefficient function per coordinate")
         if self.support_radius <= 0:
             raise ValueError("support_radius must be positive")
 
@@ -38,13 +37,8 @@ class ZeroOneForm:
         inside = np.linalg.norm(P, axis=1) < self.support_radius
         out = np.zeros_like(P)
         if inside.any():
-            Q = P[inside]
-            for k, f in enumerate(self.coefficients):
-                out[inside, k] = np.asarray(f(Q), dtype=np.complex128)
+            out[inside] = self.field(P[inside])
         return out
-
-    def coeff(self, k: int, pts) -> np.ndarray:
-        return self.coeff_matrix(pts)[:, k]
 
 
 def _smoothstep(t: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -71,9 +65,7 @@ def radial_cutoff_deriv(pts: np.ndarray, r0: float, R: float) -> np.ndarray:
     return -_smoothstep_deriv(t, r0 * r0, R * R)
 
 
-def estimate_sup_bound(
-    coefficients: Sequence[CoeffFn], n: int, radius: float, samples: int = 4096
-) -> float:
+def estimate_sup_bound(field: Field, n: int, radius: float, samples: int = 4096) -> float:
     """Deterministic upper proxy for sup |lambda|: max of the coefficient
     vector 2-norm over a seeded ambient sample of the support ball."""
     rng = np.random.default_rng(0x5EED)
@@ -81,15 +73,12 @@ def estimate_sup_bound(
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = radius * (np.arange(samples) + 0.5) / samples
     pts = radii[:, None] * dirs
-    vals = np.stack([np.asarray(f(pts), dtype=np.complex128) for f in coefficients], axis=1)
+    vals = np.asarray(field(pts), dtype=np.complex128)
     return float(np.max(np.linalg.norm(vals, axis=1)))
 
 
 def zero_form(n: int, support_radius: float = 1.0) -> ZeroOneForm:
-    coeffs = tuple(
-        (lambda P: np.zeros(P.shape[0], dtype=np.complex128)) for _ in range(n)
-    )
-    return ZeroOneForm(n, coeffs, support_radius, 0.0, True)
+    return ZeroOneForm(n, np.zeros_like, support_radius, 0.0, True)
 
 
 def bump_dbar_form(
@@ -102,17 +91,11 @@ def bump_dbar_form(
     """
     if not (0 < r0 < R):
         raise ValueError("need 0 < r0 < R")
-    n = h.n
 
-    def make(k: int) -> CoeffFn:
-        def f(P: np.ndarray) -> np.ndarray:
-            return h.eval(P) * radial_cutoff_deriv(P, r0, R) * P[:, k]
+    def field(P: np.ndarray) -> np.ndarray:
+        return (h.eval(P) * radial_cutoff_deriv(P, r0, R))[:, None] * P
 
-        return f
-
-    coeffs = tuple(make(k) for k in range(n))
-    sup = estimate_sup_bound(coeffs, n, R)
-    return ZeroOneForm(n, coeffs, R, sup, True)
+    return ZeroOneForm(h.n, field, R, estimate_sup_bound(field, h.n, R), True)
 
 
 def raw_bump_form(n: int, r0: float, R: float) -> ZeroOneForm:
@@ -121,50 +104,32 @@ def raw_bump_form(n: int, r0: float, R: float) -> ZeroOneForm:
     if not (0 < r0 < R):
         raise ValueError("need 0 < r0 < R")
 
-    def make() -> CoeffFn:
-        def f(P: np.ndarray) -> np.ndarray:
-            return radial_cutoff(P, r0, R).astype(np.complex128)
+    def field(P: np.ndarray) -> np.ndarray:
+        return np.repeat(radial_cutoff(P, r0, R)[:, None], n, axis=1)
 
-        return f
-
-    coeffs = tuple(make() for _ in range(n))
-    sup = estimate_sup_bound(coeffs, n, R)
-    return ZeroOneForm(n, coeffs, R, sup, False)
+    return ZeroOneForm(n, field, R, estimate_sup_bound(field, n, R), False)
 
 
 def combine_forms(a: complex, fa: ZeroOneForm, b: complex, fb: ZeroOneForm) -> ZeroOneForm:
-    """a * fa + b * fb, coefficientwise."""
+    """a * fa + b * fb, coefficientwise, each term with its own support."""
     if fa.n != fb.n:
         raise ValueError("dimension mismatch")
     R = max(fa.support_radius, fb.support_radius)
-
-    def make(k: int) -> CoeffFn:
-        ca, cb = fa.coefficients[k], fb.coefficients[k]
-        ra, rb = fa.support_radius, fb.support_radius
-
-        def f(P: np.ndarray) -> np.ndarray:
-            norms = np.linalg.norm(P, axis=1)
-            va = np.where(norms < ra, np.asarray(ca(P), dtype=np.complex128), 0.0)
-            vb = np.where(norms < rb, np.asarray(cb(P), dtype=np.complex128), 0.0)
-            return a * va + b * vb
-
-        return f
-
-    coeffs = tuple(make(k) for k in range(fa.n))
     sup = abs(a) * fa.sup_bound + abs(b) * fb.sup_bound
-    return ZeroOneForm(fa.n, coeffs, R, sup, fa.dbar_closed and fb.dbar_closed)
+    return ZeroOneForm(
+        fa.n,
+        lambda P: a * fa.coeff_matrix(P) + b * fb.coeff_matrix(P),
+        R,
+        sup,
+        fa.dbar_closed and fb.dbar_closed,
+    )
 
 
 def scale_form(c: complex, form: ZeroOneForm) -> ZeroOneForm:
-    def make(k: int) -> CoeffFn:
-        ck = form.coefficients[k]
-
-        def f(P: np.ndarray) -> np.ndarray:
-            return c * np.asarray(ck(P), dtype=np.complex128)
-
-        return f
-
-    coeffs = tuple(make(k) for k in range(form.n))
     return ZeroOneForm(
-        form.n, coeffs, form.support_radius, abs(c) * form.sup_bound, form.dbar_closed
+        form.n,
+        lambda P: c * form.field(P),
+        form.support_radius,
+        abs(c) * form.sup_bound,
+        form.dbar_closed,
     )

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import Chart, build_chart, slice_newton
+from .charts import Chart, build_chart, slice_newton, slice_tangents
 from .errors import (
     DbarConeError,
     InsufficientSamples,
@@ -37,6 +37,7 @@ __all__ = [
     "SurfaceEstimate",
     "ConeAtlas",
     "sample_link",
+    "link_charts",
     "surface_integral",
     "l2_norm_function",
     "l2_norm_form",
@@ -143,6 +144,24 @@ def sample_link(
     return LinkSample(points=pts[:count], seeds_used=used)
 
 
+def link_charts(variety: Variety, count: int, rng_seed: int) -> list[Chart]:
+    """Charts anchored at `count` sampled link points of a cone; anchors
+    where `build_chart` fails with a DbarConeError are skipped."""
+    if not variety.weights.is_unit:
+        raise NotACone("link charts require unit weights")
+    if variety.pure_dim is None:
+        raise ValueError("link charts require pure_dim")
+    charts: list[Chart] = []
+    for xi in sample_link(variety, count, rng_seed).points:
+        try:
+            charts.append(build_chart(variety, xi))
+        except DbarConeError:
+            continue
+    if not charts:
+        raise InsufficientSamples("no usable chart anchors")
+    return charts
+
+
 # ---------------------------------------------------------------------------
 # stratified cone Monte Carlo
 
@@ -153,23 +172,10 @@ class ConeAtlas:
     chart so strata never double count."""
 
     def __init__(self, variety: Variety, n_anchors: int, rng_seed: int):
-        if not variety.weights.is_unit:
-            raise NotACone("surface integration requires unit weights")
-        if variety.pure_dim is None:
-            raise ValueError("surface integration requires pure_dim")
+        self.charts = charts = link_charts(variety, n_anchors, rng_seed)
         self.variety = variety
         self.d = variety.pure_dim
         self.m = self.d - 1
-        link = sample_link(variety, n_anchors, rng_seed)
-        charts: list[Chart] = []
-        for xi in link.points:
-            try:
-                charts.append(build_chart(variety, xi))
-            except DbarConeError:
-                continue
-        if not charts:
-            raise InsufficientSamples("no usable chart anchors")
-        self.charts = charts
         self.unit_anchors = np.stack([c.anchor / np.linalg.norm(c.anchor) for c in charts])
         if self.m:
             spacing = []
@@ -269,71 +275,35 @@ class ConeAtlas:
             undecided[todo[hit]] = False
         return result
 
-    def link_gram(self, chart_idx: int, Y: np.ndarray) -> np.ndarray:
-        """sqrt det of the real Gram matrix of the link parametrization
-        psi(phi, x) = e^{i phi} Y(x)/|Y(x)| at a batch of slice points."""
-        c = self.charts[chart_idx]
-        M, n = Y.shape
-        nrm = np.linalg.norm(Y, axis=1)
-        yh = Y / nrm[:, None]
-        m = self.m
-        k = 1 + 2 * m
-        tangents = np.empty((M, k, n), dtype=np.complex128)
-        tangents[:, 0, :] = 1j * yh
-        if m:
-            J = self.variety.jacobian(Y)  # (M, K, n)
-            Adep = J[:, :, list(c.dep)]
-            B = J[:, :, list(c.free)]
-            if Adep.shape[1] == Adep.shape[2]:
-                D = -np.linalg.solve(Adep, B)  # (M, r, m)
-            else:
-                D = np.stack(
-                    [-np.linalg.lstsq(Adep[i], B[i], rcond=None)[0] for i in range(M)]
-                )
-            Yp = np.zeros((M, n, m), dtype=np.complex128)
-            for j, idx in enumerate(c.free):
-                Yp[:, idx, j] = 1.0
-            Yp[:, list(c.dep), :] = D
-            for j in range(m):
-                v = Yp[:, :, j]
-                for which, vv in enumerate((v, 1j * v)):
-                    proj = np.real(np.sum(vv * np.conj(yh), axis=1))
-                    tangents[:, 1 + 2 * j + which, :] = (
-                        vv - yh * proj[:, None]
-                    ) / nrm[:, None]
-        V = np.concatenate([tangents.real, tangents.imag], axis=2)  # (M, k, 2n)
-        G = V @ V.transpose(0, 2, 1)
-        det = np.linalg.det(G)
-        return np.sqrt(np.maximum(det, 0.0))
 
-    def form_norm_sq(self, chart_idx: int, Y: np.ndarray, Z: np.ndarray, form: ZeroOneForm) -> np.ndarray:
-        """|lambda|_Sigma^2 at sample points Z = r e^{i phi} Y/|Y|: express the
-        form in an orthonormal frame of the antiholomorphic cotangent space
-        built from the chart differential."""
-        c = self.charts[chart_idx]
-        M, n = Y.shape
-        m = self.m
-        cols = np.empty((M, n, self.d), dtype=np.complex128)
-        cols[:, :, 0] = Y
-        if m:
-            J = self.variety.jacobian(Y)
-            Adep = J[:, :, list(c.dep)]
-            B = J[:, :, list(c.free)]
-            if Adep.shape[1] == Adep.shape[2]:
-                D = -np.linalg.solve(Adep, B)
-            else:
-                D = np.stack(
-                    [-np.linalg.lstsq(Adep[i], B[i], rcond=None)[0] for i in range(M)]
-                )
-            Yp = np.zeros((M, n, m), dtype=np.complex128)
-            for j, idx in enumerate(c.free):
-                Yp[:, idx, j] = 1.0
-            Yp[:, list(c.dep), :] = D
-            cols[:, :, 1:] = Yp
-        E = np.linalg.qr(cols)[0]  # (M, n, d), orthonormal columns
-        F = form.coeff_matrix(Z)  # (M, n)
-        coeff = np.einsum("mnd,mn->md", np.conj(E), F)
-        return np.sum(np.abs(coeff) ** 2, axis=1).real
+def _link_gram(Y: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """sqrt det of the real Gram matrix of the link parametrization
+    psi(phi, x) = e^{i phi} Y(x)/|Y(x)| at a batch of slice points Y with
+    slice tangents Yp = dY/dx: (M, n, m)."""
+    M, n, m = Yp.shape
+    nrm = np.linalg.norm(Y, axis=1)
+    yh = Y / nrm[:, None]
+    tangents = np.empty((M, 1 + 2 * m, n), dtype=np.complex128)
+    tangents[:, 0, :] = 1j * yh
+    for j in range(m):
+        v = Yp[:, :, j]
+        for which, vv in enumerate((v, 1j * v)):
+            proj = np.real(np.sum(vv * np.conj(yh), axis=1))
+            tangents[:, 1 + 2 * j + which, :] = (vv - yh * proj[:, None]) / nrm[:, None]
+    V = np.concatenate([tangents.real, tangents.imag], axis=2)  # (M, 1 + 2m, 2n)
+    G = V @ V.transpose(0, 2, 1)
+    det = np.linalg.det(G)
+    return np.sqrt(np.maximum(det, 0.0))
+
+
+def _form_norm_sq(Y: np.ndarray, Yp: np.ndarray, Z: np.ndarray, form: ZeroOneForm) -> np.ndarray:
+    """|lambda|_Sigma^2 at sample points Z = r e^{i phi} Y/|Y|: express the
+    form in an orthonormal frame of the antiholomorphic cotangent space
+    spanned by Y and its slice tangents Yp."""
+    E = np.linalg.qr(np.concatenate([Y[:, :, None], Yp], axis=2))[0]  # (M, n, d)
+    F = form.coeff_matrix(Z)  # (M, n)
+    coeff = np.einsum("mnd,mn->md", np.conj(E), F)
+    return np.sum(np.abs(coeff) ** 2, axis=1).real
 
 
 def _cone_mc(
@@ -376,11 +346,13 @@ def _cone_mc(
             P = np.exp(1j * phi[ok])[:, None] * Yk / nrm[:, None]
             assigned = atlas.assign(P) == i
             if assigned.any():
-                sqrtG = atlas.link_gram(i, Yk[assigned])
+                Ya = Yk[assigned]
+                Yp = slice_tangents(variety, Ya, chart.free, chart.dep)
+                sqrtG = _link_gram(Ya, Yp)
                 r = rho * rng.uniform(0.0, 1.0, int(assigned.sum())) ** (1.0 / (2 * d))
                 Z = r[:, None] * P[assigned]
                 if form is not None:
-                    fv = atlas.form_norm_sq(i, Yk[assigned], Z, form)
+                    fv = _form_norm_sq(Ya, Yp, Z, form)
                 else:
                     fv = np.asarray(point_fn(Z), dtype=np.float64)
                 vals = sqrtG * fv * (rho ** (2 * d)) / (2 * d)

@@ -9,9 +9,11 @@ a bounded compactly supported form lambda = sum_k f_k dzbar_k, is
 
 Before quadrature the kernel is simplified algebraically:
 conj(w^{beta_k} z_k) / wbar = conj(w)^{beta_k - 1} conj(z_k), which removes
-the w = 0 singularity entirely; only w = 1 remains.  Everything downstream
-shares the single orientation convention dw ^ dwbar = -2i dA from
-`quadrature`.
+the w = 0 singularity entirely; only w = 1 remains.  The L2 operator on
+d-dimensional cones is the same transform with the extra weight w^(d-1),
+and `solve_scaled` moves the pole; all three share one solve path.
+Everything downstream shares the single orientation convention
+dw ^ dwbar = -2i dA from `quadrature`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import NotACone, NotOnVariety, ZeroScaleWithWeight
 from .forms import ZeroOneForm, estimate_sup_bound
-from .quadrature import PlanarIntegrand, QuadratureParams, integrate_plane
+from .quadrature import PlanarIntegrand, QuadratureParams, cauchy_transform, integrate_plane
 from .variety import Variety, Weights, contains
 
 _TWO_PI_I = 2j * math.pi
@@ -82,21 +84,46 @@ def _check_point(variety: Variety, form: ZeroOneForm, z, contains_tol: float) ->
     return z
 
 
-def _scaling_kernel(variety: Variety, form: ZeroOneForm, z: np.ndarray, pole: complex):
-    """Vectorized K(w) = sum_k beta_k f_k(w^beta*z) conj(w)^(beta_k-1) conj(z_k) / (w - pole)."""
+def _solve(
+    variety: Variety,
+    form: ZeroOneForm,
+    z,
+    params: QuadratureParams,
+    contains_tol: float,
+    pole: complex = 1.0 + 0j,
+    m: int = 0,
+) -> SolveResult:
+    """The one solve path: a single adaptive planar quadrature of
+
+        K(w) = w^m sum_k beta_k f_k(w^beta z) conj(w)^(beta_k - 1) conj(z_k) / (w - pole)
+
+    over the truncation disk, with the pole as its only singular point.
+    m = 0 is the main operator, m = d - 1 the L2 operator on d-dimensional
+    cones.  g(0) = 0 is returned directly, and so is pole = 0, where the
+    substitution of `solve_scaled` degenerates.
+    """
+    z = _check_point(variety, form, z, contains_tol)
+    if pole == 0:
+        return SolveResult(0j, 0.0, 0.0)
+    W = truncation_radius(variety.weights, z, form.support_radius)
+    if W == 0.0:
+        return SolveResult(0j, 0.0, 0.0)
     beta = variety.weights.as_array()
     live = [k for k in range(variety.ambient_dim) if z[k] != 0]
 
     def K(w: np.ndarray) -> np.ndarray:
-        pts = (w[:, None] ** beta[None, :]) * z[None, :]
-        F = form.coeff_matrix(pts)
+        F = form.coeff_matrix((w[:, None] ** beta[None, :]) * z[None, :])
         wc = np.conj(w)
         acc = np.zeros(w.shape, dtype=np.complex128)
         for k in live:
             acc += beta[k] * F[:, k] * wc ** (beta[k] - 1) * np.conj(z[k])
+        if m:
+            acc = acc * w ** m
         return acc / (w - pole)
 
-    return K
+    integrand = PlanarIntegrand(evaluate=K, singular_points=(pole,), truncation_radius=W)
+    raw, est = integrate_plane(integrand, params)
+    return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)
 
 
 def solve(
@@ -112,17 +139,7 @@ def solve(
     single singular point w = 1 (inside the truncation disk only when the
     orbit through z meets the support of the form there).
     """
-    z = _check_point(variety, form, z, contains_tol)
-    W = truncation_radius(variety.weights, z, form.support_radius)
-    if W == 0.0:
-        return SolveResult(0j, 0.0, 0.0)
-    integrand = PlanarIntegrand(
-        evaluate=_scaling_kernel(variety, form, z, 1.0 + 0j),
-        singular_points=(1.0 + 0j,),
-        truncation_radius=W,
-    )
-    raw, est = integrate_plane(integrand, params)
-    return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)
+    return _solve(variety, form, z, params, contains_tol)
 
 
 def solve_scaled(
@@ -139,20 +156,7 @@ def solve_scaled(
     The substitution degenerates at s = 0, where g(0) = 0 is returned
     directly.
     """
-    z = _check_point(variety, form, z, contains_tol)
-    s = complex(s)
-    if s == 0:
-        return SolveResult(0j, 0.0, 0.0)
-    W = truncation_radius(variety.weights, z, form.support_radius)
-    if W == 0.0:
-        return SolveResult(0j, 0.0, 0.0)
-    integrand = PlanarIntegrand(
-        evaluate=_scaling_kernel(variety, form, z, s),
-        singular_points=(s,),
-        truncation_radius=W,
-    )
-    raw, est = integrate_plane(integrand, params)
-    return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)
+    return _solve(variety, form, z, params, contains_tol, pole=complex(s))
 
 
 def solve_l2(
@@ -164,36 +168,16 @@ def solve_l2(
 ) -> SolveResult:
     """L2 variant on pure d-dimensional cones:
 
-    g(z) = sum_k (1/2 pi i) * integral of f_k(w z) w^(d-1) conj(z_k) / (w-1).
+    g(z) = sum_k (1/2 pi i) * integral of f_k(w z) w^(d-1) conj(z_k) / (w-1),
 
-    Truncated to |w| <= R/|z|; the only singular point is w = 1.
+    the main kernel with the extra weight w^(d-1); the only singular point
+    is w = 1.
     """
     if not variety.weights.is_unit:
         raise NotACone("solve_l2 requires unit weights")
     if variety.pure_dim is None:
         raise ValueError("solve_l2 requires pure_dim")
-    z = _check_point(variety, form, z, contains_tol)
-    nrm = float(np.linalg.norm(z))
-    if nrm == 0.0:
-        return SolveResult(0j, 0.0, 0.0)
-    W = form.support_radius / nrm * (1.0 + 1e-9)
-    d = variety.pure_dim
-    zc = np.conj(z)
-    live = [k for k in range(variety.ambient_dim) if z[k] != 0]
-
-    def K(w: np.ndarray) -> np.ndarray:
-        pts = w[:, None] * z[None, :]
-        F = form.coeff_matrix(pts)
-        acc = np.zeros(w.shape, dtype=np.complex128)
-        for k in live:
-            acc += F[:, k] * zc[k]
-        return acc * w ** (d - 1) / (w - 1.0)
-
-    integrand = PlanarIntegrand(
-        evaluate=K, singular_points=(1.0 + 0j,), truncation_radius=W
-    )
-    raw, est = integrate_plane(integrand, params)
-    return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)
+    return _solve(variety, form, z, params, contains_tol, m=variety.pure_dim - 1)
 
 
 def weighted_cauchy_pompeiu(
@@ -203,7 +187,8 @@ def weighted_cauchy_pompeiu(
     support_radius: float,
     params: QuadratureParams = QuadratureParams(),
 ) -> complex:
-    """(1/2 pi i) s^(-m) * integral of u^m F0(u) / (u - s) du ^ dubar.
+    """(1/2 pi i) s^(-m) * integral of u^m F0(u) / (u - s) du ^ dubar: the
+    planar Cauchy transform of u^m F0(u), divided by s^m.
 
     The weight u^m / s^m makes the slice transform match the L2 operator on
     d-dimensional cones (m = d - 1); m = 0 is the plain Cauchy transform.
@@ -213,15 +198,13 @@ def weighted_cauchy_pompeiu(
     s = complex(s)
     if s == 0 and m > 0:
         raise ZeroScaleWithWeight("s = 0 is not allowed when m > 0")
-
-    def K(u: np.ndarray) -> np.ndarray:
-        return (u ** m) * np.asarray(F0_slice(u), dtype=np.complex128) / (u - s)
-
-    integrand = PlanarIntegrand(
-        evaluate=K, singular_points=(s,), truncation_radius=float(support_radius)
+    value = cauchy_transform(
+        lambda u: (u ** m) * np.asarray(F0_slice(u), dtype=np.complex128),
+        support_radius,
+        s,
+        params,
     )
-    raw, _ = integrate_plane(integrand, params)
-    return raw / _TWO_PI_I / (s ** m if m > 0 else 1.0)
+    return value / (s ** m if m > 0 else 1.0)
 
 
 def theta_map(weights: Weights, z) -> np.ndarray:
@@ -245,20 +228,14 @@ def theta_pullback_form(form: ZeroOneForm, weights: Weights) -> ZeroOneForm:
     """Pullback of the form through the power map: coefficient k becomes
     f_k(theta(z)) * beta_k * conj(z_k)^(beta_k - 1)."""
     b = weights.as_array()
-    n = form.n
 
-    def make(k: int):
-        def f(P: np.ndarray) -> np.ndarray:
-            img = P ** b[None, :]
-            return form.coeff_matrix(img)[:, k] * b[k] * np.conj(P[:, k]) ** (b[k] - 1)
+    def field(P: np.ndarray) -> np.ndarray:
+        return form.coeff_matrix(P ** b[None, :]) * b * np.conj(P) ** (b - 1)
 
-        return f
-
-    coeffs = tuple(make(k) for k in range(n))
     # |theta(z)| < R forces |z_k| < R^(1/beta_k); the enclosing ball radius
     radius = float(math.sqrt(sum(form.support_radius ** (2.0 / bk) for bk in b)))
-    sup = estimate_sup_bound(coeffs, n, radius)
-    return ZeroOneForm(n, coeffs, radius, sup, form.dbar_closed)
+    sup = estimate_sup_bound(field, form.n, radius)
+    return ZeroOneForm(form.n, field, radius, sup, form.dbar_closed)
 
 
 @dataclass(frozen=True)

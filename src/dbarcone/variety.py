@@ -86,9 +86,6 @@ class SparsePolynomial:
             return np.zeros((0, self.n), dtype=np.int64)
         return np.asarray([e for e, _ in self.terms], dtype=np.int64)
 
-    def coefficients(self) -> np.ndarray:
-        return np.asarray([c for _, c in self.terms], dtype=np.complex128)
-
     def eval(self, pts) -> np.ndarray | complex:
         """Evaluate at one point (n,) or a batch (N, n); complex output."""
         pts = np.asarray(pts, dtype=np.complex128)
@@ -98,7 +95,7 @@ class SparsePolynomial:
             out = np.zeros(P.shape[0], dtype=np.complex128)
         else:
             E = self.exponent_matrix()  # (T, n)
-            C = self.coefficients()  # (T,)
+            C = np.asarray([c for _, c in self.terms], dtype=np.complex128)  # (T,)
             mono = np.prod(P[:, None, :] ** E[None, :, :], axis=2)  # (N, T)
             out = mono @ C
         return out[0] if single else out

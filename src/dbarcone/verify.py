@@ -15,14 +15,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charts import Chart, build_chart
-from .errors import DbarConeError, StepTooSmall
+from .errors import StepTooSmall
 from .forms import ZeroOneForm
 from .measure import (
     ConeAtlas,
     dist_sigma_path,
     l2_norm_form,
     l2_norm_function,
-    sample_link,
+    link_charts,
     surface_integral,
 )
 from .quadrature import QuadratureParams
@@ -203,21 +203,14 @@ def holder_report(
     """Sample same-line, same-slice, and general pairs in Sigma cap B_R
     (plus rescaled copies approaching the singularity), evaluate
     |g(z) - g(w)|, and report ratios against both distance brackets.
+    The pairs come from `link_charts`, so a variety that is not a cone
+    raises NotACone and a link on which no chart builds raises
+    InsufficientSamples, as for `ConeAtlas`.
     """
     if not (0 < theta < 1):
         raise ValueError("theta must lie in (0, 1)")
-    if not variety.weights.is_unit:
-        raise ValueError("Hoelder sampling requires a cone (unit weights)")
     rng = np.random.default_rng(rng_seed)
-    link = sample_link(variety, 4, rng_seed ^ 0x51C3)
-    charts = []
-    for xi in link.points:
-        try:
-            charts.append(build_chart(variety, xi))
-        except DbarConeError:
-            continue
-    if not charts:
-        raise ValueError("no chart anchors available")
+    charts = link_charts(variety, 4, rng_seed ^ 0x51C3)
 
     def rand_sx(chart: Chart):
         s_hi = 0.9 * radius / float(np.linalg.norm(chart.anchor))

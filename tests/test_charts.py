@@ -177,20 +177,6 @@ def test_cusp_chart_weighted_parametrization():
         assert contains(X, z, tol=1e-12)
 
 
-def test_pulled_back_form_wrapper(quadric_chart):
-    from dbarcone.charts import PulledBackForm, chart_eval, chart_invert, pullback_form
-
-    form = make_form("bump-dbar", 3, r0=0.3, radius=1.0)
-    pb = PulledBackForm(quadric_chart, form)
-    s, x = 0.4 + 0.1j, quadric_chart.x_anchor + 0.02
-    F0, FJ = pullback_form(quadric_chart, form, s, x)
-    assert pb.F0(s, x) == F0
-    assert np.all(pb.Fj(s, x) == FJ)
-    z = chart_eval(quadric_chart, s, x)
-    s2, x2 = chart_invert(quadric_chart, z)
-    assert abs(s2 - s) < 1e-9
-
-
 def test_singular_row_fails_alone():
     # z2 = 0 makes dQ/dz2 = -6 z2^5 exactly zero: that row cannot take a
     # Newton step, and the rows next to it must still converge as if alone

@@ -48,6 +48,25 @@ def test_bump_dbar_is_gradient_of_plateau():
     assert abs(ratio[0] - ratio[1]) < 1e-14  # shared radial factor
 
 
+def test_coeff_matrix_evaluates_h_once(monkeypatch):
+    # one field for all coefficients: h and chi' are evaluated once per
+    # batch, not once per coordinate
+    form = make_form("bump-dbar", 3, h_terms=[((0, 0, 0), 1.0), ((1, 0, 0), 0.5)],
+                     r0=0.3, radius=1.0)
+    evaluate = SparsePolynomial.eval
+    rows = []
+
+    def counting(self, pts):
+        rows.append(len(pts))
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(SparsePolynomial, "eval", counting)
+    pts = np.array([[0.4, 0.1j, 0.2], [0.1, 0.2, 0.3 - 0.1j], [2.0, 0.0, 0.0]])
+    vals = form.coeff_matrix(pts)
+    assert rows == [2]  # the point outside the support is not evaluated
+    assert np.all(vals[2] == 0) and np.all(vals[:2] != 0)
+
+
 def test_zero_form_and_flags():
     z = zero_form(3)
     assert z.dbar_closed and z.sup_bound == 0.0

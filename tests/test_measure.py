@@ -101,21 +101,12 @@ def test_l2_norm_form_representation_invariance():
     base = make_form("bump-dbar", 3, r0=0.3, radius=1.0)
     grads = gradient(V.polynomials[0])
 
-    def make_modified(k):
-        def f(P):
-            gk = grads[k].eval(P)
-            bump = np.exp(-np.sum(np.abs(P) ** 2, axis=-1))
-            return base.coeff_matrix(P)[:, k] + bump * np.conj(gk)
+    def modified_field(P):
+        grad = np.stack([g.eval(P) for g in grads], axis=1)
+        bump = np.exp(-np.sum(np.abs(P) ** 2, axis=-1))
+        return base.coeff_matrix(P) + bump[:, None] * np.conj(grad)
 
-        return f
-
-    modified = ZeroOneForm(
-        3,
-        tuple(make_modified(k) for k in range(3)),
-        base.support_radius,
-        base.sup_bound,
-        False,
-    )
+    modified = ZeroOneForm(3, modified_field, base.support_radius, base.sup_bound, False)
     a = l2_norm_form(V, base, 1.0, 12000, 31)
     b = l2_norm_form(V, modified, 1.0, 12000, 31)
     assert abs(a.value - b.value) <= 3 * (a.std_error + b.std_error) + 2e-3

@@ -160,6 +160,16 @@ def test_solve_l2_equals_solve_on_line(bump2):
     assert solve_l2(L, bump2, np.zeros(2), PARAMS).value == 0
 
 
+def test_line_operators_share_one_solve_path(bump2):
+    # on line2 (d = 1, unit weights) solve, solve_scaled at s = 1 and
+    # solve_l2 integrate the same kernel over the same truncation disk
+    L = line2()
+    z = np.array([0.42 - 0.17j, 0.0])
+    a = solve(L, bump2, z, PARAMS)
+    assert solve_scaled(L, bump2, z, 1.0, PARAMS) == a
+    assert solve_l2(L, bump2, z, PARAMS) == a
+
+
 def test_weighted_cauchy_pompeiu_m0_is_cauchy_transform():
     disk = lambda u: (np.abs(u) < 1.0).astype(complex)  # noqa: E731
     z = 0.3 + 0.4j

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dbarcone.fixtures import line2, make_form, quadric_cone
+from dbarcone import measure
+from dbarcone.errors import InsufficientSamples, NotACone, SingularAnchor
+from dbarcone.fixtures import cusp, line2, make_form, quadric_cone
 from dbarcone.measure import sample_link
 from dbarcone.quadrature import QuadratureParams
 from dbarcone.solver import solve, solve_l2
@@ -96,6 +98,21 @@ def test_holder_ratio_swap_symmetric(cone_form):
     gw = solve(V, cone_form, w, PARAMS).value
     assert abs(abs(gz - gw) - p.delta_g) < 1e-6
     assert abs(np.linalg.norm(z - w) - p.dist_chord) < 1e-12
+
+
+def test_holder_report_rejects_weighted_variety(line_form):
+    # the pairs are sampled through link charts, which need a cone
+    with pytest.raises(NotACone):
+        holder_report(cusp(), line_form, 0.5, 1.0, 6, 8)
+
+
+def test_holder_report_without_charts(monkeypatch, cone_form):
+    def rejected(variety, anchor):
+        raise SingularAnchor("every anchor rejected")
+
+    monkeypatch.setattr(measure, "build_chart", rejected)
+    with pytest.raises(InsufficientSamples):
+        holder_report(quadric_cone(), cone_form, 0.5, 1.0, 6, 8)
 
 
 def test_l2_report_degenerate_zero_form():
