@@ -30,35 +30,7 @@ from .errors import (
     SingularAnchor,
 )
 from .forms import ZeroOneForm
-from .variety import Variety, _membership_scales, act, contains, is_regular
-
-_NEWTON_MAX = 40
-_NEWTON_TOL = 1e-12
-
-
-def _newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps -J^+ R per row for J: (M, K, r), R: (M, K).
-
-    Returns (step, singular): a row whose square Jacobian is exactly
-    singular gets no step and is flagged, so it fails alone instead of
-    stopping the rest of the batch.
-    """
-    M, K, r = J.shape
-    singular = np.zeros(M, dtype=bool)
-    if K != r:
-        step = np.stack([-np.linalg.lstsq(J[i], R[i], rcond=None)[0] for i in range(M)])
-        return step, singular
-    try:
-        return -np.linalg.solve(J, R[:, :, None])[:, :, 0], singular
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros((M, r), dtype=np.complex128)
-    for i in range(M):
-        try:
-            step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return step, singular
+from .variety import Variety, act, damped_newton, is_regular, newton_steps
 
 
 def slice_newton(
@@ -68,61 +40,11 @@ def slice_newton(
 
     Y0: (N, n) start points; dep: (N, r) per-row indices of the coordinates
     to solve, every other coordinate stays fixed.  Rows may belong to
-    different charts: each row's iterates, line search and convergence test
-    depend on that row alone, so a row gives the same point in any batch.
-    Returns (Y, ok) with a convergence mask at the 1e-10 membership test.
+    different charts: `damped_newton` treats each row alone, so a row gives
+    the same point in any batch.  Returns (Y, ok) with a convergence mask
+    at the 1e-10 membership test.
     """
-    Y = np.array(Y0, dtype=np.complex128)
-    N = Y.shape[0]
-    dep = np.asarray(dep, dtype=np.intp).reshape(N, -1)
-    if dep.shape[1] == 0:
-        res = variety.residuals(Y)
-        ok = np.all(np.abs(res) <= 1e-9 * _membership_scales(variety, Y), axis=1)
-        return Y, ok
-    stuck = np.zeros(N, dtype=bool)
-    # residuals are kept from the line search of the rows a step moved
-    res = variety.residuals(Y)  # (N, K)
-    scale = _membership_scales(variety, Y)
-    for _ in range(_NEWTON_MAX):
-        ok = np.all(np.abs(res) <= _NEWTON_TOL * scale, axis=1)
-        rows = np.flatnonzero(~ok & ~stuck)
-        if rows.size == 0:
-            break
-        Ya = Y[rows]
-        da = dep[rows]
-        J = np.take_along_axis(variety.jacobian(Ya), da[:, None, :], axis=2)  # (M, K, r)
-        R = res[rows]
-        step, singular = _newton_steps(J, R)
-        stuck[rows[singular]] = True
-        bad = ~np.isfinite(step).all(axis=1)
-        step[bad] = 0.0
-        cur = np.take_along_axis(Ya, da, axis=1)
-        base = np.sum(np.abs(R) ** 2, axis=1)
-        alpha = np.ones(step.shape[0])
-        trial = cur + step
-        # halve each row's step until |Q|^2 does not grow; only the rows
-        # still being halved are evaluated again
-        res_t = np.empty_like(R)
-        todo = np.arange(step.shape[0])
-        for _ in range(15):
-            Yt = Ya[todo]
-            np.put_along_axis(Yt, da[todo], trial[todo], axis=1)
-            rt = variety.residuals(Yt)
-            res_t[todo] = rt
-            worse = np.sum(np.abs(rt) ** 2, axis=1) > base[todo] * (1 + 1e-12)
-            todo = todo[worse]
-            if todo.size == 0:
-                break
-            alpha[todo] *= 0.5
-            trial[todo] = cur[todo] + alpha[todo, None] * step[todo]
-        np.put_along_axis(Ya, da, trial, axis=1)
-        if todo.size:  # halved once more after their last evaluation
-            res_t[todo] = variety.residuals(Ya[todo])
-        Y[rows] = Ya
-        res[rows] = res_t
-        scale[rows] = _membership_scales(variety, Ya)
-    ok = np.all(np.abs(res) <= 1e-10 * scale, axis=1)
-    return Y, ok
+    return damped_newton(variety, Y0, dep, 1e-12, 1e-10, 40, 15)
 
 
 def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
@@ -130,7 +52,9 @@ def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
     (M, n, m) for the free coordinates `free` and the solved ones `dep`.
 
     The pivot row is zero, free rows are unit vectors, and the dependent
-    rows solve the linearized constraints J_dep D = -J_free point by point.
+    rows solve the linearized constraints J_dep D = -J_free, in the least
+    squares sense of `newton_steps` when there are more constraints than
+    dependent coordinates.
     """
     free, dep = list(free), list(dep)
     M, n = Y.shape
@@ -139,11 +63,9 @@ def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
     if m == 0:
         return out
     J = variety.jacobian(Y)  # (M, K, n)
-    A, B = J[:, :, dep], J[:, :, free]  # (M, K, r), (M, K, m)
-    if A.shape[1] == A.shape[2]:
-        D = -np.linalg.solve(A, B)
-    else:
-        D = np.stack([-np.linalg.lstsq(A[i], B[i], rcond=None)[0] for i in range(M)])
+    D, singular = newton_steps(J[:, :, dep], J[:, :, free])  # (M, r, m)
+    if singular.any():
+        raise ImplicitFunctionFailure("singular dependent Jacobian at a slice point")
     out[:, free, np.arange(m)] = 1.0
     out[:, dep, :] = D
     return out
@@ -253,7 +175,13 @@ class Chart:
         F0  = sum_k f_k(Pi) beta_k conj(s^(beta_k - 1) y_k)
         F_j = sum_{k != pivot} f_k(Pi) conj(s^beta_k dy_k/dx_j)
         """
-        y = self.slice_point(self._check_domain(x))
+        return self.pullback_at_slice(form, s, self.slice_point(self._check_domain(x)))
+
+    def pullback_at_slice(
+        self, form: ZeroOneForm, s: complex, y: np.ndarray
+    ) -> tuple[complex, np.ndarray]:
+        """`pullback_form` at a solved slice point y = y(x), for callers
+        that reuse y."""
         s = complex(s)
         beta = self.variety.weights.as_array()
         z = act(s, self.variety.weights, y)

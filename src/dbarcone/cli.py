@@ -103,6 +103,8 @@ def _require_keys(obj: dict, allowed: set, path: str):
 def _number(obj, path, minimum=None, integer=False, maximum=None):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, "expected a number")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        _fail(path, "must be finite")
     if integer and int(obj) != obj:
         _fail(path, "expected an integer")
     if minimum is not None and obj < minimum:

@@ -29,7 +29,7 @@ from .errors import (
     ProjectionFailure,
 )
 from .forms import ZeroOneForm
-from .variety import Variety, act, contains_batch, is_regular, project_batch
+from .variety import Variety, act, contains_batch, orbit_scale, project_batch, regular_batch
 
 __all__ = [
     "LinkSample",
@@ -76,30 +76,11 @@ class PathApprox:
 
 def _rescale_to_norm(variety: Variety, pts: np.ndarray, target: float) -> np.ndarray:
     """Move each point along its scaling orbit to the requested norm
-    (closed form for cones, bisection in the real scale otherwise)."""
+    (closed form for cones, the orbit-scale bisection otherwise)."""
     pts = np.asarray(pts, dtype=np.complex128)
-    norms = np.linalg.norm(pts, axis=1)
     if variety.weights.is_unit:
-        return pts * (target / norms)[:, None]
-    beta = variety.weights.as_array().astype(np.float64)
-    out = np.empty_like(pts)
-    for i, z in enumerate(pts):
-        amp = np.abs(z) ** 2
-
-        def nrm2(t: float) -> float:
-            return float(np.sum(t ** (2 * beta) * amp))
-
-        lo, hi = 0.0, 1.0
-        while nrm2(hi) < target ** 2:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if nrm2(mid) >= target ** 2:
-                hi = mid
-            else:
-                lo = mid
-        out[i] = act(hi, variety.weights, z)
-    return out
+        return pts * (target / np.linalg.norm(pts, axis=1))[:, None]
+    return act(orbit_scale(variety.weights, pts, target), variety.weights, pts)
 
 
 def sample_link(
@@ -132,8 +113,7 @@ def sample_link(
         Z = _rescale_to_norm(variety, Z, target)
         Z = Z[contains_batch(variety, Z, tol=1e-9)]
         if variety.pure_dim is not None and Z.shape[0]:
-            reg = np.array([is_regular(variety, z) for z in Z])
-            Z = Z[reg]
+            Z = Z[regular_batch(variety, Z)]
         kept.append(Z)
     pts = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), complex)
     if pts.shape[0] < count:
@@ -404,16 +384,14 @@ def l2_norm_function(
     n_anchors: int = 24,
     atlas: Optional[ConeAtlas] = None,
 ) -> SurfaceEstimate:
-    """sqrt of the surface integral of |h|^2; std_error propagated through
-    the square root."""
+    """sqrt of the surface integral of |h|^2 (see `_square_root`)."""
 
     def sq(Z: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(h(Z), dtype=np.complex128)) ** 2
 
-    est = _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, point_fn=sq, atlas=atlas)
-    val = math.sqrt(max(est.value, 0.0))
-    err = est.std_error / (2.0 * val) if val > 0 else est.std_error
-    return SurfaceEstimate(val, err, est.n_samples, est.newton_failures, est.coverage_gaps)
+    return _square_root(
+        _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, point_fn=sq, atlas=atlas)
+    )
 
 
 def l2_norm_form(
@@ -428,7 +406,14 @@ def l2_norm_form(
     """L2 norm of a (0,1)-form over Sigma intersect B_rho using the induced
     pointwise norm (orthonormalized chart frame), so the value is invariant
     under coefficient representations that agree on the tangent space."""
-    est = _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, form=form, atlas=atlas)
+    return _square_root(
+        _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, form=form, atlas=atlas)
+    )
+
+
+def _square_root(est: SurfaceEstimate) -> SurfaceEstimate:
+    """sqrt of an integral estimate, std_error propagated through the
+    square root."""
     val = math.sqrt(max(est.value, 0.0))
     err = est.std_error / (2.0 * val) if val > 0 else est.std_error
     return SurfaceEstimate(val, err, est.n_samples, est.newton_failures, est.coverage_gaps)
@@ -460,11 +445,7 @@ def _radial_leg(variety: Variety, z: np.ndarray, target_norm: float, steps: int 
     if variety.weights.is_unit:
         t_star = target_norm / nz
     else:
-        end = _rescale_to_norm(variety, z.reshape(1, -1), target_norm)[0]
-        beta = variety.weights.as_array().astype(np.float64)
-        # recover the real orbit parameter from any nonzero coordinate
-        k = int(np.argmax(np.abs(z)))
-        t_star = float(np.abs(end[k] / z[k]) ** (1.0 / beta[k]))
+        t_star = float(orbit_scale(variety.weights, z.reshape(1, -1), target_norm)[0])
     ts = np.linspace(1.0, t_star, steps + 1)
     return np.stack([act(t, variety.weights, z) for t in ts])
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotACone, NotOnVariety, ZeroScaleWithWeight
 from .forms import ZeroOneForm, estimate_sup_bound
 from .quadrature import PlanarIntegrand, QuadratureParams, cauchy_transform, integrate_plane
-from .variety import Variety, Weights, contains
+from .variety import Variety, Weights, contains, orbit_scale
 
 _TWO_PI_I = 2j * math.pi
 
@@ -39,11 +39,12 @@ class SolveResult:
 
 
 def truncation_radius(weights: Weights, z: np.ndarray, support_radius: float) -> float:
-    """Smallest W with sum_k W^(2 beta_k) |z_k|^2 >= support_radius^2.
+    """Smallest W with sum_k W^(2 beta_k) |z_k|^2 >= support_radius^2, with a
+    1e-9 relative margin.
 
     The kernel coefficients vanish for |w| > W because the form is supported
-    in the ball of `support_radius`.  Monotone in W, so bisection suffices;
-    closed form W = R/|z| for unit weights.  Returns 0 for z = 0.
+    in the ball of `support_radius`.  Closed form W = R/|z| for unit
+    weights, the orbit-scale bisection otherwise.  Returns 0 for z = 0.
     """
     z = np.asarray(z, dtype=np.complex128)
     nrm2 = float(np.sum(np.abs(z) ** 2))
@@ -51,26 +52,7 @@ def truncation_radius(weights: Weights, z: np.ndarray, support_radius: float) ->
         return 0.0
     if weights.is_unit:
         return support_radius / math.sqrt(nrm2) * (1.0 + 1e-9)
-    b = 2.0 * weights.as_array().astype(np.float64)
-    amp = np.abs(z) ** 2
-    target = support_radius ** 2
-
-    def total(W: float) -> float:
-        return float(np.sum(W ** b * amp))
-
-    hi = 1.0
-    while total(hi) < target:
-        hi *= 2.0
-        if hi > 1e18:
-            raise OverflowError("truncation radius search diverged")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi * (1.0 + 1e-9)
+    return float(orbit_scale(weights, z[None, :], support_radius)[0]) * (1.0 + 1e-9)
 
 
 def _check_point(variety: Variety, form: ZeroOneForm, z, contains_tol: float) -> np.ndarray:

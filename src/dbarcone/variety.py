@@ -3,8 +3,10 @@
 A variety is the common zero locus of finitely many polynomials that are
 weighted homogeneous for one shared weight vector beta: Q(s^beta * z) =
 s^d Q(z), where s^beta * z scales coordinate k by s^(beta_k).  This module
-provides the scaling action, membership and regularity tests, and a
-Gauss-Newton projection used by the sampling machinery.
+provides the scaling action, batched membership and regularity tests, the
+one damped Newton (the Gauss-Newton projection used by the sampling
+machinery and the charts' slice solves), and the one bisection for the
+orbit scale t with |t^beta z| = target.
 """
 
 from __future__ import annotations
@@ -219,18 +221,29 @@ def _membership_scales(variety: Variety, pts: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, norms[:, None] ** (degs[None, :] / min_b))
 
 
-def contains(variety: Variety, z, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
+def contains_batch(variety: Variety, pts, tol: float = DEFAULT_CONTAINS_TOL) -> np.ndarray:
+    """Membership mask of a batch (N, n): every |Q_k| within tol times its
+    magnitude normalization."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    P = np.asarray(z, dtype=np.complex128).reshape(1, -1)
-    res = np.abs(variety.residuals(P))
-    return bool(np.all(res <= tol * _membership_scales(variety, P)))
-
-
-def contains_batch(variety: Variety, pts, tol: float = DEFAULT_CONTAINS_TOL) -> np.ndarray:
     P = np.asarray(pts, dtype=np.complex128)
     res = np.abs(variety.residuals(P))
     return np.all(res <= tol * _membership_scales(variety, P), axis=1)
+
+
+def contains(variety: Variety, z, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
+    return bool(contains_batch(variety, np.reshape(z, (1, -1)), tol)[0])
+
+
+def regular_batch(variety: Variety, pts, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Numerical-rank mask of a batch (N, n) of points on the variety: the
+    Jacobian rank equals n - pure_dim.  Singular values below
+    tol * sigma_max count as zero; membership is not tested."""
+    if variety.pure_dim is None:
+        raise ValueError("is_regular requires pure_dim")
+    sv = np.linalg.svd(variety.jacobian(pts), compute_uv=False)  # (N, min(K, n))
+    rank = np.sum(sv > tol * sv[:, :1], axis=1)
+    return rank == variety.ambient_dim - variety.pure_dim
 
 
 def is_regular(
@@ -239,21 +252,142 @@ def is_regular(
     tol: float = DEFAULT_RANK_TOL,
     contains_tol: float = DEFAULT_CONTAINS_TOL,
 ) -> bool:
-    """Numerical-rank test: Jacobian rank equals n - pure_dim at z.
-
-    Singular values below tol * sigma_max count as zero.
-    """
-    if variety.pure_dim is None:
-        raise ValueError("is_regular requires pure_dim")
-    if not contains(variety, z, contains_tol):
+    """`regular_batch` at one point; raises NotOnVariety when z fails the
+    membership test at contains_tol."""
+    P = np.reshape(z, (1, -1))
+    if not contains_batch(variety, P, contains_tol)[0]:
         raise NotOnVariety(f"point {z} is not on the variety at tol {contains_tol}")
-    J = variety.jacobian(np.asarray(z, dtype=np.complex128))
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
+    return bool(regular_batch(variety, P, tol)[0])
+
+
+def orbit_scale(weights: Weights, pts, target: float) -> np.ndarray:
+    """Real t > 0 per nonzero row z of a batch (N, n) with |t^beta z| =
+    target, as the upper end of a bisection bracket (so |t^beta z| >=
+    target).  The norm grows with t, so each row's bracket [0, hi] doubles
+    hi until it holds the target, then bisects; the loop stops once no
+    row's bracket moves, since later steps could not move it either."""
+    b = 2.0 * weights.as_array().astype(np.float64)
+    amp = np.abs(np.asarray(pts, dtype=np.complex128)) ** 2
+    goal = target ** 2
+
+    def nrm2(t: np.ndarray) -> np.ndarray:
+        return np.sum(t[:, None] ** b * amp, axis=1)
+
+    hi = np.ones(amp.shape[0])
+    while (short := nrm2(hi) < goal).any():
+        hi[short] *= 2.0
+        if hi.max() > 1e18:
+            raise OverflowError("orbit scale search diverged")
+    lo = np.zeros_like(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = nrm2(mid) >= goal
+        new_lo, new_hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return hi
+
+
+def newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -J^+ R per row for J: (M, K, r) and R: (M, K, q).
+
+    Square blocks are solved exactly; a row whose block is exactly
+    singular gets no step and is flagged, so it fails alone instead of
+    stopping the rest of the batch.  Other blocks take a ridge step
+    through the smaller Gram matrix, with lam = 1e-14 (1 + |J|_F^2): wide
+    ones (K < r) the minimal-norm J^H (J J^H + lam I)^{-1} R, tall ones
+    (K > r) the least-squares (J^H J + lam I)^{-1} J^H R.
+    Returns (step, singular).
+    """
+    M, K, r = J.shape
+    singular = np.zeros(M, dtype=bool)
+    if K == r:
+        try:
+            step = -np.linalg.solve(J, R)
+        except np.linalg.LinAlgError:
+            step = np.zeros((M, r, R.shape[2]), dtype=np.complex128)
+            for i in range(M):
+                try:
+                    step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1])[0]
+                except np.linalg.LinAlgError:
+                    singular[i] = True
     else:
-        rank = int(np.sum(sv > tol * sv[0]))
-    return rank == variety.ambient_dim - variety.pure_dim
+        Jh = J.conj().transpose(0, 2, 1)
+        G = J @ Jh if K < r else Jh @ J
+        G = G + 1e-14 * np.eye(G.shape[1])[None, :, :] * (
+            1.0 + np.abs(np.trace(G, axis1=1, axis2=2))[:, None, None]
+        )
+        step = -(Jh @ np.linalg.solve(G, R)) if K < r else -np.linalg.solve(G, Jh @ R)
+    return step, singular
+
+
+def damped_newton(
+    variety: Variety,
+    Y0: np.ndarray,
+    cols: np.ndarray,
+    tol: float,
+    accept_tol: float,
+    max_iter: int,
+    halvings: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the coordinates `cols` of a batch of points.
+
+    Y0: (N, n) start points; cols: (N, r) per-row indices of the
+    coordinates to solve, every other coordinate stays fixed.  A row
+    iterates until it passes the membership test at `tol`, for at most
+    max_iter steps; each step is halved up to `halvings` times until |Q|^2
+    does not grow.  Each row's iterates, line search and convergence test
+    depend on that row alone, so a row gives the same point in any batch.
+    Returns (Y, ok) with ok the membership test at accept_tol.
+    """
+    Y = np.array(Y0, dtype=np.complex128)
+    N = Y.shape[0]
+    cols = np.asarray(cols, dtype=np.intp).reshape(N, -1)
+    stuck = np.zeros(N, dtype=bool)
+    # residuals are kept from the line search of the rows a step moved
+    res = variety.residuals(Y)  # (N, K)
+    scale = _membership_scales(variety, Y)
+    for _ in range(max_iter):
+        ok = np.all(np.abs(res) <= tol * scale, axis=1)
+        rows = np.flatnonzero(~ok & ~stuck)
+        if rows.size == 0:
+            break
+        Ya = Y[rows]
+        ca = cols[rows]
+        J = np.take_along_axis(variety.jacobian(Ya), ca[:, None, :], axis=2)  # (M, K, r)
+        R = res[rows]
+        step, singular = newton_steps(J, R[:, :, None])
+        step = step[:, :, 0]
+        stuck[rows[singular]] = True
+        step[~np.isfinite(step).all(axis=1)] = 0.0
+        cur = np.take_along_axis(Ya, ca, axis=1)
+        base = np.sum(np.abs(R) ** 2, axis=1)
+        alpha = np.ones(step.shape[0])
+        trial = cur + step
+        # halve each row's step until |Q|^2 does not grow; only the rows
+        # still being halved are evaluated again
+        res_t = np.empty_like(R)
+        todo = np.arange(step.shape[0])
+        for _ in range(halvings):
+            Yt = Ya[todo]
+            np.put_along_axis(Yt, ca[todo], trial[todo], axis=1)
+            rt = variety.residuals(Yt)
+            res_t[todo] = rt
+            worse = np.sum(np.abs(rt) ** 2, axis=1) > base[todo] * (1 + 1e-12)
+            todo = todo[worse]
+            if todo.size == 0:
+                break
+            alpha[todo] *= 0.5
+            trial[todo] = cur[todo] + alpha[todo, None] * step[todo]
+        np.put_along_axis(Ya, ca, trial, axis=1)
+        if todo.size:  # halved once more after their last evaluation
+            res_t[todo] = variety.residuals(Ya[todo])
+        Y[rows] = Ya
+        res[rows] = res_t
+        scale[rows] = _membership_scales(variety, Ya)
+    ok = np.all(np.abs(res) <= accept_tol * scale, axis=1)
+    return Y, ok
 
 
 def project_batch(
@@ -264,46 +398,14 @@ def project_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton projection of a batch of points onto the zero locus.
 
-    Returns (points, converged_mask).  Minimal-norm step via the right
-    pseudo-inverse J^H (J J^H)^{-1} Q with a halving line search on |Q|^2.
+    Returns (points, converged_mask): `damped_newton` on every coordinate,
+    with up to 20 halvings of each step.  With fewer equations than
+    coordinates `newton_steps` takes the minimal-norm ridge step.
     """
-    Z = np.array(seeds, dtype=np.complex128)
-    N = Z.shape[0]
-    ridge = 1e-14
-    done = np.zeros(N, dtype=bool)
-    for _ in range(max_iter):
-        res = variety.residuals(Z)  # (N, K)
-        scale = _membership_scales(variety, Z)
-        done = np.all(np.abs(res) <= tol * scale, axis=1)
-        active = ~done
-        if not active.any():
-            break
-        Za = Z[active]
-        Ra = res[active]
-        J = variety.jacobian(Za)  # (M, K, n)
-        JJh = J @ J.conj().transpose(0, 2, 1)  # (M, K, K)
-        K = JJh.shape[1]
-        JJh = JJh + ridge * np.eye(K)[None, :, :] * (
-            1.0 + np.abs(np.trace(JJh, axis1=1, axis2=2))[:, None, None]
-        )
-        u = np.linalg.solve(JJh, Ra[:, :, None])  # (M, K, 1)
-        step = -(J.conj().transpose(0, 2, 1) @ u)[:, :, 0]  # (M, n)
-        # damped update: halve until |Q|^2 does not increase
-        alpha = np.ones(Za.shape[0])
-        base = np.sum(np.abs(Ra) ** 2, axis=1)
-        new = Za + step
-        for _ in range(20):
-            cost = np.sum(np.abs(variety.residuals(new)) ** 2, axis=1)
-            bad = cost > base * (1.0 + 1e-12)
-            if not bad.any():
-                break
-            alpha[bad] *= 0.5
-            new[bad] = Za[bad] + alpha[bad, None] * step[bad]
-        Z[active] = new
-    res = variety.residuals(Z)
-    scale = _membership_scales(variety, Z)
-    done = np.all(np.abs(res) <= tol * scale, axis=1)
-    return Z, done
+    Z = np.asarray(seeds, dtype=np.complex128)
+    N, n = Z.shape
+    cols = np.broadcast_to(np.arange(n), (N, n))
+    return damped_newton(variety, Z, cols, tol, tol, max_iter, 20)
 
 
 def project_to_variety(

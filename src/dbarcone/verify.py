@@ -75,9 +75,11 @@ def _residual_at(
     h: float,
     norm: float,
 ) -> tuple[float, list[float]]:
-    F0, FJ = chart.pullback_form(form, s, x)
+    y = chart.slice_point(chart._check_domain(x))
+    F0, FJ = chart.pullback_at_slice(form, s, y)
+    weights = chart.variety.weights
     step = h * max(1.0, abs(s))
-    d_s = _wirtinger_bar(lambda c: solver_handle(chart.eval(c, x)), s, step)
+    d_s = _wirtinger_bar(lambda c: solver_handle(act(complex(c), weights, y)), s, step)
     res_s = abs(d_s - F0) / norm
     res_x = []
     for j in range(chart.slice_dim):
@@ -89,6 +91,26 @@ def _residual_at(
         d_j = _wirtinger_bar(G, complex(x[j]), h * max(1.0, abs(x[j])))
         res_x.append(abs(d_j - FJ[j]) / norm)
     return res_s, res_x
+
+
+def _chart_box_sample(
+    rng: np.random.Generator, chart: Chart, reach: float, lo_frac: float, box_frac: float
+) -> tuple[complex, np.ndarray]:
+    """A point (s, x) of a chart's parameter box: |s| area-uniform in
+    [lo_frac, 1] * reach / |anchor| with a uniform phase, and x uniform in
+    the complex box of half-width box_frac * min(domain_radius, 1) around
+    x_anchor."""
+    s_hi = reach / float(np.linalg.norm(chart.anchor))
+    r = math.sqrt(rng.uniform((lo_frac * s_hi) ** 2, s_hi ** 2))
+    s = r * np.exp(2j * math.pi * rng.uniform())
+    if chart.slice_dim:
+        box = box_frac * min(chart.domain_radius, 1.0)
+        x = chart.x_anchor + box * (
+            rng.uniform(-1, 1, chart.slice_dim) + 1j * rng.uniform(-1, 1, chart.slice_dim)
+        )
+    else:
+        x = np.zeros(0, dtype=np.complex128)
+    return complex(s), x
 
 
 def dbar_residual(
@@ -111,22 +133,9 @@ def dbar_residual(
     chart = build_chart(variety, anchor)
     rng = np.random.default_rng(rng_seed)
     norm = 1.0 + form.sup_bound
-    anchor_norm = float(np.linalg.norm(chart.anchor))
-    s_hi = 0.85 * form.support_radius / anchor_norm
-    s_lo = 0.15 * s_hi
-    box = 0.3 * min(chart.domain_radius, 1.0) if chart.slice_dim else 0.0
 
     def draw():
-        r = math.sqrt(rng.uniform(s_lo ** 2, s_hi ** 2))
-        s = r * np.exp(2j * math.pi * rng.uniform())
-        if chart.slice_dim:
-            x = chart.x_anchor + box * (
-                rng.uniform(-1, 1, chart.slice_dim)
-                + 1j * rng.uniform(-1, 1, chart.slice_dim)
-            )
-        else:
-            x = np.zeros(0, dtype=np.complex128)
-        return complex(s), x
+        return _chart_box_sample(rng, chart, 0.85 * form.support_radius, 0.15, 0.3)
 
     if check_step:
         s0, x0 = draw()
@@ -213,18 +222,7 @@ def holder_report(
     charts = link_charts(variety, 4, rng_seed ^ 0x51C3)
 
     def rand_sx(chart: Chart):
-        s_hi = 0.9 * radius / float(np.linalg.norm(chart.anchor))
-        r = math.sqrt(rng.uniform((0.2 * s_hi) ** 2, s_hi ** 2))
-        s = r * np.exp(2j * math.pi * rng.uniform())
-        if chart.slice_dim:
-            box = 0.25 * min(chart.domain_radius, 1.0)
-            x = chart.x_anchor + box * (
-                rng.uniform(-1, 1, chart.slice_dim)
-                + 1j * rng.uniform(-1, 1, chart.slice_dim)
-            )
-        else:
-            x = np.zeros(0, dtype=np.complex128)
-        return complex(s), x
+        return _chart_box_sample(rng, chart, 0.9 * radius, 0.2, 0.25)
 
     base_pairs: list[tuple[str, np.ndarray, np.ndarray]] = []
     kinds = ["line", "slice", "general"]

@@ -3,8 +3,8 @@
 These deliberately avoid the package's adaptive quadrature: planar
 transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
-chart map, and the batched chart code is checked against one-point,
-one-chart loops."""
+chart map, and the batched chart and variety code is checked against
+one-point, one-chart and one-row loops."""
 
 from __future__ import annotations
 
@@ -134,3 +134,77 @@ def probe_radius_by_rays(chart) -> float:
             t *= 1.6
         fail_at.append(t)
     return 0.5 * float(min(fail_at))
+
+
+def orbit_scale_by_rows(weights, pts: np.ndarray, target: float) -> np.ndarray:
+    """Reference for variety.orbit_scale, one row at a time: double hi from
+    1 until |hi^beta z| >= target, then 200 bisection steps on [0, hi]."""
+    b = 2.0 * weights.as_array().astype(np.float64)
+    out = np.empty(pts.shape[0])
+    for i, z in enumerate(np.asarray(pts, dtype=np.complex128)):
+        amp = np.abs(z) ** 2
+
+        def nrm2(t: float) -> float:
+            return float(np.sum(t ** b * amp))
+
+        lo, hi = 0.0, 1.0
+        while nrm2(hi) < target ** 2:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if nrm2(mid) >= target ** 2:
+                hi = mid
+            else:
+                lo = mid
+        out[i] = hi
+    return out
+
+
+def regular_by_points(variety, pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Reference for variety.regular_batch, one point at a time: the number
+    of Jacobian singular values above tol * sigma_max equals the codimension."""
+    out = np.zeros(pts.shape[0], dtype=bool)
+    for i, z in enumerate(pts):
+        sv = np.linalg.svd(variety.jacobian(z), compute_uv=False)
+        rank = 0 if sv[0] == 0.0 else int(np.sum(sv > tol * sv[0]))
+        out[i] = rank == variety.ambient_dim - variety.pure_dim
+    return out
+
+
+def project_whole_batch(variety, seeds: np.ndarray, tol: float = 1e-12, max_iter: int = 60):
+    """Reference for variety.project_batch: each iteration re-evaluates every
+    row, takes the ridge step J^H (J J^H + lam I)^{-1} Q on the rows not yet
+    converged, and halves the step of the rows whose |Q|^2 grew, evaluating
+    the whole batch again after each halving (20 at most)."""
+    Z = np.array(seeds, dtype=np.complex128)
+    for _ in range(max_iter):
+        res = variety.residuals(Z)
+        active = ~membership(variety, Z, res, tol)
+        if not active.any():
+            break
+        Za, Ra = Z[active], res[active]
+        J = variety.jacobian(Za)
+        JJh = J @ J.conj().transpose(0, 2, 1)
+        JJh = JJh + 1e-14 * np.eye(JJh.shape[1])[None, :, :] * (
+            1.0 + np.abs(np.trace(JJh, axis1=1, axis2=2))[:, None, None]
+        )
+        step = -(J.conj().transpose(0, 2, 1) @ np.linalg.solve(JJh, Ra[:, :, None]))[:, :, 0]
+        alpha = np.ones(Za.shape[0])
+        base = np.sum(np.abs(Ra) ** 2, axis=1)
+        new = Za + step
+        for _ in range(20):
+            bad = np.sum(np.abs(variety.residuals(new)) ** 2, axis=1) > base * (1.0 + 1e-12)
+            if not bad.any():
+                break
+            alpha[bad] *= 0.5
+            new[bad] = Za[bad] + alpha[bad, None] * step[bad]
+        Z[active] = new
+    return Z, membership(variety, Z, variety.residuals(Z), tol)
+
+
+def membership(variety, Z: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+    """|Q_k(z)| <= tol * max(1, |z|^(d_k / min beta)) for every k, per row."""
+    norms = np.linalg.norm(Z, axis=1)
+    degs = np.asarray(variety.degrees, dtype=np.float64)
+    scale = np.maximum(1.0, norms[:, None] ** (degs[None, :] / min(variety.weights.entries)))
+    return np.all(np.abs(res) <= tol * scale, axis=1)

@@ -233,3 +233,28 @@ def test_theta_crosscheck_job_smoke(tmp_path):
         "seed": 4,
     }, "theta")
     assert report["results"]["worst_rel_diff"] < 1e-4
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("seed", lambda cfg: cfg.update(seed=float("nan"))),
+        ("seed", lambda cfg: cfg.update(seed=float("inf"))),
+        ("form.radius", lambda cfg: cfg.update(form={"builtin": "zero", "radius": float("nan")})),
+        ("quadrature.rel_tol", lambda cfg: cfg.update(quadrature={"rel_tol": float("nan")})),
+    ],
+    ids=["seed-nan", "seed-inf", "radius-nan", "rel_tol-nan"],
+)
+def test_non_finite_number_rejected(tmp_path, capsys, key, edit):
+    # JSON NaN and Infinity parse as floats; they must fail validation by
+    # name instead of crashing later or passing as "config ok"
+    cfg = json.loads(json.dumps(MINIMAL))
+    edit(cfg)
+    text = json.dumps(cfg)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"{key}:")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["check", str(cfg_path)]) == 1
+    assert key in capsys.readouterr().err

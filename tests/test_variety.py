@@ -10,11 +10,16 @@ from dbarcone.variety import (
     Weights,
     act,
     contains,
+    contains_batch,
     is_regular,
+    orbit_scale,
     project_batch,
     project_to_variety,
+    regular_batch,
     weighted_degree,
 )
+
+from oracles import orbit_scale_by_rows, project_whole_batch, regular_by_points
 
 
 def test_weighted_degree_examples():
@@ -209,3 +214,58 @@ def test_projection_no_convergence_budget():
         project_to_variety(
             quadric_cone(), np.array([5.0, -3.0, 9.0], dtype=complex), max_iter=1
         )
+
+
+MERGED_FIXTURES = [cusp, quadric_cone, cone6]
+
+
+def _gaussians(V, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, V.ambient_dim)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("make", MERGED_FIXTURES)
+def test_project_batch_matches_whole_batch_line_search(make):
+    # the one damped Newton gives every row the iterates of the old loop,
+    # which re-evaluated the whole batch at each iteration and halving
+    V = make()
+    magnitudes = 10.0 ** np.random.default_rng(70).uniform(-3, 3, 64)
+    seeds = _gaussians(V, 64, 71) * magnitudes[:, None]
+    for tol, max_iter in ((1e-12, 60), (1e-13, 60), (1e-12, 3)):
+        Z, ok = project_batch(V, seeds, tol=tol, max_iter=max_iter)
+        Z_ref, ok_ref = project_whole_batch(V, seeds, tol=tol, max_iter=max_iter)
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(Z, Z_ref)
+    assert not ok.all()  # three steps leave some rows unconverged
+
+
+@pytest.mark.parametrize("make", MERGED_FIXTURES)
+def test_orbit_scale_matches_row_bisection(make):
+    V = make()
+    rng = np.random.default_rng(72)
+    pts = _gaussians(V, 40, 73) * rng.uniform(1e-3, 10.0, 40)[:, None]
+    for target in (1e-2, 1.0, np.sqrt(V.ambient_dim), 50.0):
+        t = orbit_scale(V.weights, pts, target)
+        assert np.array_equal(t, orbit_scale_by_rows(V.weights, pts, target))
+        norms = np.linalg.norm(act(t, V.weights, pts), axis=1)
+        assert np.allclose(norms, target, rtol=1e-12)
+
+
+def test_orbit_scale_overflow_guard():
+    with pytest.raises(OverflowError):
+        orbit_scale(Weights((3, 2)), np.array([[1e-60, 1e-60]]), 1.0)
+
+
+@pytest.mark.parametrize("make", MERGED_FIXTURES)
+def test_regular_batch_matches_point_loop(make):
+    # link points, the singular origin and points shrunk toward it
+    V = make()
+    Z, ok = project_batch(V, _gaussians(V, 48, 74))
+    Z = Z[ok]
+    pts = np.concatenate([Z, np.zeros((1, V.ambient_dim)), act(1e-6, V.weights, Z[:8])])
+    assert contains_batch(V, pts).all()
+    mask = regular_batch(V, pts)
+    assert np.array_equal(mask, regular_by_points(V, pts))
+    assert mask.any() and not mask.all()
+    assert [is_regular(V, z) for z in pts] == mask.tolist()
