@@ -48,7 +48,6 @@ _QUAD_DEFAULTS = {
     "abs_tol": 1e-11,
     "max_refinement_depth": 14,
     "singular_exclusion": None,
-    "base_rule": "gauss8",
     "max_panels": 24000,
 }
 
@@ -188,6 +187,8 @@ def _parse_form(obj, n: int, path: str):
     spec = {"builtin": name, "radius": radius}
     kwargs: dict[str, Any] = {"radius": radius}
     if name in ("bump-dbar", "raw-bump"):
+        if r0 <= 0:
+            _fail(f"{path}.r0", "must be > 0")
         if r0 >= radius:
             _fail(f"{path}.r0", "must be smaller than radius")
         kwargs["r0"] = r0
@@ -289,11 +290,7 @@ def parse_config(text: str) -> RunConfig:
     if "quadrature" in raw:
         _require_keys(raw["quadrature"], set(_QUAD_DEFAULTS), "quadrature")
         for k, v in raw["quadrature"].items():
-            if k == "base_rule":
-                if not isinstance(v, str):
-                    _fail("quadrature.base_rule", "expected a string like 'gauss8'")
-                quad[k] = v
-            elif k == "singular_exclusion":
+            if k == "singular_exclusion":
                 quad[k] = None if v is None else _number(v, f"quadrature.{k}", minimum=0.0)
             elif k in ("max_refinement_depth", "max_panels"):
                 quad[k] = _number(v, f"quadrature.{k}", minimum=1, integer=True)
@@ -336,10 +333,6 @@ def parse_config(text: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # job execution
-
-
-def _cmplx(c: complex) -> dict:
-    return {"re": float(c.real), "im": float(c.imag)}
 
 
 def _point_cols(prefix: str, z) -> dict:

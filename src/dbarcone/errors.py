@@ -25,10 +25,6 @@ class ConvergedToSingular(DbarConeError):
     pass
 
 
-class SingularOverlap(DbarConeError):
-    """Singular points of a planar integrand are too close together."""
-
-
 class SingularAnchor(DbarConeError):
     pass
 

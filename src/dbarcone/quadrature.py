@@ -4,21 +4,21 @@ point singularities and compact support.
 Orientation convention used throughout the package: dw ^ dwbar = -2i dA(w),
 so `integrate_plane` returns -2i times the Lebesgue integral.
 
-Scheme: the support disk |w| <= W is swept in polar coordinates around each
-singular point, with the radial coordinate normalized by the theta-dependent
-distance to the cell boundary (the support circle, clipped by perpendicular
-bisectors when several singular points tile the disk into Voronoi cells).
-The polar Jacobian cancels 1/|w - pole| singularities exactly and the
-boundaries become coordinate lines, so panels are plain rectangles in the
-transformed (radius, angle) plane that are refined adaptively.  The radius
-is linear in the transformed coordinate: the Jacobian r already cancels a
+Scheme: an integrand has at most one singular point.  The support disk
+|w| <= W is swept in polar coordinates around it (around the origin when
+there is none inside the disk), with the radial coordinate normalized by
+the theta-dependent distance to the support circle.  The polar Jacobian
+cancels 1/|w - pole| singularities exactly and the circle becomes a
+coordinate line, so panels are plain rectangles in the transformed
+(radius, angle) plane that are refined adaptively.  The radius is linear
+in the transformed coordinate: the Jacobian r already cancels a
 1/(w - pole) kernel, so the integrand is smooth up to the pole and needs no
 geometric grading (Duffy-type cancellation).  The error estimate is the sum
 of |coarse - fine| over the panels, each a panel's Gauss value against the
 sum over its four quadrants.
 
 By default nothing is excluded.  An explicit `singular_exclusion` epsilon
-leaves out the disk |w - pole| < epsilon around each singular point; its
+leaves out the disk |w - pole| < epsilon around the singular point; its
 mass is estimated heuristically and added to the error estimate, never to
 the value.
 """
@@ -27,15 +27,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, SingularOverlap
+from .errors import NoConvergence
 
-_N_U = 12  # equal initial radial panels per sweep
+_N_U = 12  # equal initial radial panels
+_N_THETA = 8  # equal initial angular panels
+_GAUSS = np.polynomial.legendre.leggauss(8)  # rule on each rect, per axis
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class QuadratureParams:
     abs_tol: float = 1e-10
     max_refinement_depth: int = 14
     singular_exclusion: Optional[float] = None  # None -> no exclusion
-    base_rule: str = "gauss8"
     max_panels: int = 24000
 
     def __post_init__(self):
@@ -55,27 +55,23 @@ class QuadratureParams:
         if self.singular_exclusion is not None and self.singular_exclusion < 0:
             raise ValueError("singular_exclusion must be >= 0")
 
-    def rule_order(self) -> int:
-        if not self.base_rule.startswith("gauss"):
-            raise ValueError(f"unknown base rule {self.base_rule!r}")
-        order = int(self.base_rule[len("gauss"):])
-        if not (2 <= order <= 24):
-            raise ValueError("base rule order out of range")
-        return order
-
 
 @dataclass(frozen=True)
 class PlanarIntegrand:
     """Full integrand K(w), singular factors included.
 
     `evaluate` must accept a 1-d complex array and return finite complex
-    values everywhere except at the listed singular points; K must vanish
-    for |w| > truncation_radius.  It must be safe for concurrent calls.
+    values everywhere except at the singular point, if one is listed; K
+    must vanish for |w| > truncation_radius.  At most one singular point.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple[complex, ...] = ()
     truncation_radius: float = 1.0
+
+    def __post_init__(self):
+        if len(self.singular_points) > 1:
+            raise ValueError("a planar integrand has at most one singular point")
 
 
 @dataclass
@@ -83,28 +79,17 @@ class _Sweep:
     """Polar sweep around `pole` with radial coordinate u in [0, 1]:
     r = eps + u * (rho(theta) - eps), from the exclusion circle
     |w - pole| = eps (eps = 0 unless an exclusion is asked for) out to the
-    cell boundary.
+    support circle |w| = W.
     """
 
     pole: complex
     eps: float
     W: float
-    others: tuple[complex, ...] = field(default_factory=tuple)
 
     def rho(self, theta: np.ndarray) -> np.ndarray:
-        """Radial extent of this pole's cell: distance to the support circle,
-        clipped by the perpendicular bisectors of the other poles (so the
-        cells tile the disk exactly)."""
-        e = np.exp(1j * theta)
-        c = np.real(np.conj(self.pole) * e)
-        rho = -c + np.sqrt(c * c + self.W ** 2 - abs(self.pole) ** 2)
-        for b in self.others:
-            d = b - self.pole
-            proj = np.real(e * np.conj(d / abs(d)))
-            with np.errstate(divide="ignore"):
-                r_line = np.where(proj > 0, (abs(d) / 2.0) / np.maximum(proj, 1e-300), np.inf)
-            rho = np.minimum(rho, r_line)
-        return rho
+        """Distance from the pole to the support circle along angle theta."""
+        c = np.real(np.conj(self.pole) * np.exp(1j * theta))
+        return -c + np.sqrt(c * c + self.W ** 2 - abs(self.pole) ** 2)
 
     def points(self, u: np.ndarray, theta: np.ndarray):
         """Map transformed coords to w; returns (w, area_factor)."""
@@ -122,14 +107,10 @@ class _Sweep:
         return vals * factor
 
 
-@lru_cache(maxsize=8)
-def _gl_cache(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _eval_rects(sweep: _Sweep, K, rects: np.ndarray, order: int) -> np.ndarray:
+def _eval_rects(sweep: _Sweep, K, rects: np.ndarray) -> np.ndarray:
     """Integrate J over each rect (R, 4) = (u0, u1, th0, th1); returns (R,)."""
-    x, wgt = _gl_cache(order)
+    x, wgt = _GAUSS
+    order = len(x)
     u_mid = 0.5 * (rects[:, 0] + rects[:, 1])
     u_half = 0.5 * (rects[:, 1] - rects[:, 0])
     t_mid = 0.5 * (rects[:, 2] + rects[:, 3])
@@ -145,7 +126,7 @@ def _eval_rects(sweep: _Sweep, K, rects: np.ndarray, order: int) -> np.ndarray:
     return np.sum(J * W2 * scale, axis=(1, 2))
 
 
-def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray, order: int):
+def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray):
     """Evaluate the four quadrants of each rect (R, 4) whose own value is
     `coarse` (R,).  Returns the quadrants (R, 4, 4), their values (R, 4), the
     fine values (R,) and the discrepancies |coarse - fine| (R,)."""
@@ -154,7 +135,7 @@ def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray, order: int):
     kids = np.stack(
         [u0, um, t0, tm, u0, um, tm, t1, um, u1, t0, tm, um, u1, tm, t1], axis=-1
     ).reshape(-1, 4, 4)
-    kid_vals = _eval_rects(sweep, K, kids.reshape(-1, 4), order).reshape(-1, 4)
+    kid_vals = _eval_rects(sweep, K, kids.reshape(-1, 4)).reshape(-1, 4)
     fine = kid_vals.sum(axis=1)
     d = coarse - fine
     # hypot equals abs() of each complex number bit for bit; np.abs on a
@@ -162,93 +143,29 @@ def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray, order: int):
     return kids, kid_vals, fine, np.hypot(d.real, d.imag)
 
 
-def _build_sweeps(integrand: PlanarIntegrand, params: QuadratureParams) -> list[_Sweep]:
+def _sweep(integrand: PlanarIntegrand, params: QuadratureParams) -> _Sweep:
+    """The sweep about the singular point, or about the origin when there is
+    none inside the disk; the exclusion stays within a quarter of the pole's
+    distance to the support circle."""
     W = float(integrand.truncation_radius)
-    eps = params.singular_exclusion or 0.0
-    active = [complex(a) for a in integrand.singular_points if abs(a) < W * (1 - 1e-12)]
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            if abs(active[i] - active[j]) <= 4 * eps:
-                raise SingularOverlap(
-                    f"singular points {active[i]} and {active[j]} closer than 4*eps"
-                )
-
-    sweeps: list[_Sweep] = []
-    if not active:
-        sweeps.append(_Sweep(pole=0j, eps=0.0, W=W))
-        return sweeps
-
-    for a in active:
-        clearance = min(
-            [abs(a - b) / 2.0 for b in active if b != a] + [W - abs(a)]
-        )
-        sweeps.append(
-            _Sweep(
-                pole=a,
-                eps=min(eps, 0.25 * clearance),
-                W=W,
-                others=tuple(b for b in active if b != a),
-            )
-        )
-    return sweeps
+    for a in map(complex, integrand.singular_points):
+        if abs(a) < W * (1 - 1e-12):
+            eps = params.singular_exclusion or 0.0
+            return _Sweep(pole=a, eps=min(eps, 0.25 * (W - abs(a))), W=W)
+    return _Sweep(pole=0j, eps=0.0, W=W)
 
 
-def _kink_angles(sweep: _Sweep) -> list[float]:
-    """Angles (from the pole) where rho(theta) switches branch: bisector/circle
-    and bisector/bisector crossings.  Spurious candidates only add panel
-    boundaries inside smooth regions, which is harmless."""
-    a, W = sweep.pole, sweep.W
-    pts: list[complex] = []
-    lines = []
-    for b in sweep.others:
-        m = (a + b) / 2.0
-        nh = (b - a) / abs(b - a)
-        lines.append((m, nh))
-        # bisector {Re((w-m) conj(nh)) = 0} meets |w| = W: w = m + t*i*nh
-        B = np.real(m * np.conj(1j * nh))
-        disc = B * B - (abs(m) ** 2 - W ** 2)
-        if disc > 0:
-            for t in (-B + math.sqrt(disc), -B - math.sqrt(disc)):
-                pts.append(m + t * 1j * nh)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            (m1, n1), (m2, n2) = lines[i], lines[j]
-            A = np.array(
-                [[np.real(n1), np.imag(n1)], [np.real(n2), np.imag(n2)]],
-                dtype=np.float64,
-            )
-            rhs = np.array(
-                [np.real(m1 * np.conj(n1)), np.real(m2 * np.conj(n2))],
-                dtype=np.float64,
-            )
-            if abs(np.linalg.det(A)) > 1e-14:
-                x, y = np.linalg.solve(A, rhs)
-                w = complex(x, y)
-                if abs(w) < W:
-                    pts.append(w)
-    return [math.atan2((p - a).imag, (p - a).real) % (2 * math.pi) for p in pts if p != a]
-
-
-def _initial_rects(sweep: _Sweep) -> np.ndarray:
-    ub = np.linspace(0.0, 1.0, _N_U + 1)
-    # theta grid aligned to branch switches of rho, then filled to <= pi/4
-    knots = sorted(set(round(t, 14) for t in _kink_angles(sweep)))
-    if not knots:
-        knots = [0.0]
-    bounds = []
-    for i, t0 in enumerate(knots):
-        t1 = knots[i + 1] if i + 1 < len(knots) else knots[0] + 2 * math.pi
-        pieces = max(1, int(math.ceil((t1 - t0) / (math.pi / 4.0))))
-        bounds.extend(t0 + (t1 - t0) * k / pieces for k in range(pieces))
-    bounds.append(knots[0] + 2 * math.pi)
-    return np.array(
-        [
-            (ub[i], ub[i + 1], bounds[j], bounds[j + 1])
-            for i in range(_N_U)
-            for j in range(len(bounds) - 1)
-        ],
-        dtype=np.float64,
-    )
+# initial panels (u0, u1, th0, th1): _N_U equal in u times _N_THETA equal in theta
+_U_BOUNDS = np.linspace(0.0, 1.0, _N_U + 1)
+_TH_BOUNDS = [2 * math.pi * k / _N_THETA for k in range(_N_THETA + 1)]
+_INITIAL_RECTS = np.array(
+    [
+        (_U_BOUNDS[i], _U_BOUNDS[i + 1], _TH_BOUNDS[j], _TH_BOUNDS[j + 1])
+        for i in range(_N_U)
+        for j in range(_N_THETA)
+    ],
+    dtype=np.float64,
+)
 
 
 def _excluded_mass(sweep: _Sweep, K) -> float:
@@ -285,9 +202,11 @@ def integrate_plane(
 ) -> tuple[complex, float]:
     """Integral of K(w) dw ^ dwbar = -2i * integral of K dA over |w| <= W.
 
-    Returns (value, error_estimate); the estimate is the refinement
-    differencing plus, under an explicit `singular_exclusion`, the estimated
-    mass excluded around singular points.  Raises NoConvergence, naming the
+    The disk is swept in polar coordinates about the integrand's singular
+    point, or about the origin when it has none inside the disk.  Returns
+    (value, error_estimate); the estimate is the refinement differencing
+    plus, under an explicit `singular_exclusion`, the estimated mass
+    excluded around the singular point.  Raises NoConvergence, naming the
     budget, when `max_panels` or `max_refinement_depth` runs out first.
     """
     W = float(integrand.truncation_radius)
@@ -295,26 +214,25 @@ def integrate_plane(
         raise ValueError("truncation_radius must be finite")
     if W <= 0:
         return 0j, 0.0
-    order = params.rule_order()
     K = integrand.evaluate
-    sweeps = _build_sweeps(integrand, params)
+    sweep = _sweep(integrand, params)
 
-    # entries: [-disc, seq, sweep_idx, depth, value, disc, quadrants (4, 4),
-    # quadrant values (4,)]; refining a panel reuses its quadrant values as
-    # the children's coarse values, so no rect is ever evaluated twice
-    panels = []
-    seq = 0
-    for si, sw in enumerate(sweeps):
-        rects = _initial_rects(sw)
-        coarse = _eval_rects(sw, K, rects, order)
-        for kids, kid_vals, val, disc in zip(*_split(sw, K, rects, coarse, order)):
-            panels.append([-disc, seq, si, 0, val, disc, kids, kid_vals])
-            seq += 1
-    eps_mass = sum(_excluded_mass(sw, K) for sw in sweeps)
+    # entries: [-disc, seq, depth, value, disc, quadrants (4, 4), quadrant
+    # values (4,)]; refining a panel reuses its quadrant values as the
+    # children's coarse values, so no rect is ever evaluated twice
+    coarse = _eval_rects(sweep, K, _INITIAL_RECTS)
+    panels = [
+        [-disc, seq, 0, val, disc, kids, kid_vals]
+        for seq, (kids, kid_vals, val, disc) in enumerate(
+            zip(*_split(sweep, K, _INITIAL_RECTS, coarse))
+        )
+    ]
+    seq = len(panels)
+    eps_mass = _excluded_mass(sweep, K)
 
     heapq.heapify(panels)
-    total = sum(p[4] for p in panels)
-    err = sum(p[5] for p in panels)
+    total = sum(p[3] for p in panels)
+    err = sum(p[4] for p in panels)
 
     while True:
         # tolerances are stated for the final value, which carries |-2i| = 2
@@ -328,7 +246,7 @@ def integrate_plane(
             if -panels[0][0] <= thresh:
                 break
             p = heapq.heappop(panels)
-            if p[3] >= params.max_refinement_depth:
+            if p[2] >= params.max_refinement_depth:
                 stuck.append(p)
             else:
                 batch.append(p)
@@ -344,22 +262,21 @@ def integrate_plane(
                 f"max_panels {params.max_panels} exhausted "
                 f"{_budget_state(panels, err + eps_mass, integrand)}"
             )
-        by_sweep: dict[int, list] = {}
-        for p in batch:
-            by_sweep.setdefault(p[2], []).append(p)
-        for si, group in by_sweep.items():
-            rects = np.concatenate([p[6] for p in group])
-            coarse = np.concatenate([p[7] for p in group])
-            results = _split(sweeps[si], K, rects, coarse, order)
-            for gi, p in enumerate(group):
-                total -= p[4]
-                err -= p[5]
-                for ci in range(4 * gi, 4 * gi + 4):
-                    kids, kid_vals, val, disc = (a[ci] for a in results)
-                    heapq.heappush(panels, [-disc, seq, si, p[3] + 1, val, disc, kids, kid_vals])
-                    seq += 1
-                    total += val
-                    err += disc
+        results = _split(
+            sweep,
+            K,
+            np.concatenate([p[5] for p in batch]),
+            np.concatenate([p[6] for p in batch]),
+        )
+        for bi, p in enumerate(batch):
+            total -= p[3]
+            err -= p[4]
+            for ci in range(4 * bi, 4 * bi + 4):
+                kids, kid_vals, val, disc = (a[ci] for a in results)
+                heapq.heappush(panels, [-disc, seq, p[2] + 1, val, disc, kids, kid_vals])
+                seq += 1
+                total += val
+                err += disc
 
     value = -2j * total
     error_estimate = 2.0 * (err + eps_mass)
@@ -375,7 +292,8 @@ def cauchy_transform(
     """Planar Cauchy-Pompeiu transform (1/2 pi i) * integral of f(u)/(u - z) du ^ dubar.
 
     For f supported in |u| <= support_radius; solves dg/dzbar = f in one
-    variable.  The disk-indicator transform equals conj(z) inside the disk.
+    variable.  The unit-disk-indicator transform equals conj(z) inside the
+    disk and 1/z outside it.
     """
     z = complex(z)
 

@@ -119,9 +119,6 @@ class SparsePolynomial:
             self.n, [(tuple(e * bk for e, bk in zip(exps, b)), c) for exps, c in self.terms]
         )
 
-    def max_exponent(self) -> int:
-        return max((max(e) for e, _ in self.terms), default=0)
-
 
 @lru_cache(maxsize=256)
 def gradient(poly: SparsePolynomial) -> tuple[SparsePolynomial, ...]:

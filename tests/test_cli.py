@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ CUSTOM_VARIETY = {
         ]
     ],
 }
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def test_parse_minimal():
@@ -242,8 +245,9 @@ def test_theta_crosscheck_job_smoke(tmp_path):
         ("seed", lambda cfg: cfg.update(seed=float("inf"))),
         ("form.radius", lambda cfg: cfg.update(form={"builtin": "zero", "radius": float("nan")})),
         ("quadrature.rel_tol", lambda cfg: cfg.update(quadrature={"rel_tol": float("nan")})),
+        ("form.r0", lambda cfg: cfg.update(form={"builtin": "bump-dbar", "r0": 0})),
     ],
-    ids=["seed-nan", "seed-inf", "radius-nan", "rel_tol-nan"],
+    ids=["seed-nan", "seed-inf", "radius-nan", "rel_tol-nan", "r0-zero"],
 )
 def test_non_finite_number_rejected(tmp_path, capsys, key, edit):
     # JSON NaN and Infinity parse as floats; they must fail validation by
@@ -258,3 +262,11 @@ def test_non_finite_number_rejected(tmp_path, capsys, key, edit):
     cfg_path.write_text(text)
     assert main(["check", str(cfg_path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_checks(path, capsys):
+    # a grammar change must not silently invalidate a config in configs/
+    parse_config(path.read_text())
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "config ok\n"

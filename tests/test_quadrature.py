@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbarcone.errors import NoConvergence, SingularOverlap
+from dbarcone.errors import NoConvergence
 from dbarcone.quadrature import (
     PlanarIntegrand,
     QuadratureParams,
@@ -65,6 +65,14 @@ def test_cauchy_transform_disk_indicator_oracle():
         z = complex(*rng.uniform(-0.65, 0.65, 2))
         v = cauchy_transform(lambda u: np.ones_like(u), 1.0, z, TIGHT)
         assert abs(v - np.conj(z)) <= 1e-6 * abs(z)
+    # outside it the transform is 1/z; the pole lies outside the disk, so
+    # the sweep runs about the origin
+    outside = [1.2, -2.0j] + [
+        rng.uniform(1.2, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)) for _ in range(10)
+    ]
+    for z in outside:
+        v = cauchy_transform(lambda u: np.ones_like(u), 1.0, z, TIGHT)
+        assert abs(v - 1 / z) <= 1e-12
 
 
 def test_empty_truncation_radius():
@@ -74,32 +82,17 @@ def test_empty_truncation_radius():
     assert v == 0 and e == 0
 
 
-def test_singular_overlap_rejected():
-    eps = 0.01
-    params = QuadratureParams(singular_exclusion=eps)
-    with pytest.raises(SingularOverlap):
+def test_two_singular_points_rejected():
+    # every kernel of the package has one pole; a second is a caller error
+    with pytest.raises(ValueError, match="at most one singular point"):
         integrate_plane(
             PlanarIntegrand(
-                evaluate=lambda w: 1.0 / ((w - 0.5) * (w - 0.5 - 0.02)),
-                singular_points=(0.5 + 0j, 0.52 + 0j),
-                truncation_radius=1.0,
+                evaluate=lambda w: 1.0 / ((w - 0.5) * (w + 0.5)),
+                singular_points=(0.5 + 0j, -0.5 + 0j),
+                truncation_radius=2.0,
             ),
-            params,
+            TIGHT,
         )
-
-
-def test_two_singular_points():
-    # partial fractions give the exact dA integral: -pi (conj a - conj b)
-    def K(w):
-        return 1.0 / ((w - 0.5) * (w + 0.5))
-
-    v, e = integrate_plane(
-        PlanarIntegrand(
-            evaluate=K, singular_points=(0.5 + 0j, -0.5 + 0j), truncation_radius=2.0
-        ),
-        QuadratureParams(rel_tol=1e-8, abs_tol=1e-10),
-    )
-    assert abs(v - 2j * np.pi) < 1e-6
 
 
 def test_no_convergence_names_exhausted_budget():
