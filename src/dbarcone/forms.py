@@ -31,10 +31,20 @@ class ZeroOneForm:
             raise ValueError("support_radius must be positive")
 
     def coeff_matrix(self, pts) -> np.ndarray:
-        """All coefficients at a batch of points: (N, n) -> (N, n), with the
-        support cutoff applied."""
-        P = np.asarray(pts, dtype=np.complex128).reshape(-1, self.n)
+        """All coefficients at a batch of points: (N, n) -> (N, n) complex,
+        with the support cutoff applied.
+
+        When every point of a nonempty batch is inside the support, as in
+        nearly every solver kernel batch, the field's value is returned as
+        it is; otherwise the field runs on the inside rows and the rest are
+        zero.  The batch is made C-contiguous first, so the field sees the
+        same layout as the gathered inside rows and gives the same bits
+        either way.
+        """
+        P = np.ascontiguousarray(pts, dtype=np.complex128).reshape(-1, self.n)
         inside = np.linalg.norm(P, axis=1) < self.support_radius
+        if inside.size and inside.all():
+            return self.field(P)
         out = np.zeros_like(P)
         if inside.any():
             out[inside] = self.field(P[inside])
@@ -105,7 +115,7 @@ def raw_bump_form(n: int, r0: float, R: float) -> ZeroOneForm:
         raise ValueError("need 0 < r0 < R")
 
     def field(P: np.ndarray) -> np.ndarray:
-        return np.repeat(radial_cutoff(P, r0, R)[:, None], n, axis=1)
+        return np.repeat(radial_cutoff(P, r0, R)[:, None], n, axis=1).astype(np.complex128)
 
     return ZeroOneForm(n, field, R, estimate_sup_bound(field, n, R), False)
 

@@ -86,17 +86,21 @@ class _Sweep:
     eps: float
     W: float
 
-    def rho(self, theta: np.ndarray) -> np.ndarray:
-        """Distance from the pole to the support circle along angle theta."""
-        c = np.real(np.conj(self.pole) * np.exp(1j * theta))
+    def rho(self, direction: np.ndarray) -> np.ndarray:
+        """Distance from the pole to the support circle along the unit
+        direction exp(1j * theta)."""
+        c = np.real(np.conj(self.pole) * direction)
         return -c + np.sqrt(c * c + self.W ** 2 - abs(self.pole) ** 2)
 
     def points(self, u: np.ndarray, theta: np.ndarray):
-        """Map transformed coords to w; returns (w, area_factor)."""
-        span = self.rho(theta) - self.eps
+        """Map transformed coords to w; returns (w, area_factor).  The
+        direction exp(1j * theta) is computed once and serves both rho and
+        w."""
+        direction = np.exp(1j * theta)
+        span = self.rho(direction) - self.eps
         r = self.eps + u * span
         factor = r * span  # dA = r dr dtheta, dr/du = span
-        w = self.pole + r * np.exp(1j * theta)
+        w = self.pole + r * direction
         return w, factor
 
     def eval_integrand(self, K, u: np.ndarray, theta: np.ndarray) -> np.ndarray:

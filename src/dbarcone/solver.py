@@ -91,14 +91,23 @@ def _solve(
     if W == 0.0:
         return SolveResult(0j, 0.0, 0.0)
     beta = variety.weights.as_array()
+    unit = variety.weights.is_unit
     live = [k for k in range(variety.ambient_dim) if z[k] != 0]
 
+    # w ** 1 == w and a factor conj(w) ** 0 == 1 are exact, so unit weights
+    # skip those powers without changing a bit.  Each term stays one chained
+    # product: numpy writes `named * temporary` of a large batch into the
+    # temporary with the operands swapped, and a complex product computed
+    # with fused multiply-adds is not bitwise commutative.
     def K(w: np.ndarray) -> np.ndarray:
-        F = form.coeff_matrix((w[:, None] ** beta[None, :]) * z[None, :])
+        F = form.coeff_matrix((w[:, None] if unit else w[:, None] ** beta[None, :]) * z[None, :])
         wc = np.conj(w)
         acc = np.zeros(w.shape, dtype=np.complex128)
         for k in live:
-            acc += beta[k] * F[:, k] * wc ** (beta[k] - 1) * np.conj(z[k])
+            if beta[k] == 1:
+                acc += beta[k] * F[:, k] * np.conj(z[k])
+            else:
+                acc += beta[k] * F[:, k] * wc ** (beta[k] - 1) * np.conj(z[k])
         if m:
             acc = acc * w ** m
         return acc / (w - pole)

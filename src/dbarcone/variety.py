@@ -12,7 +12,7 @@ orbit scale t with |t^beta z| = target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,18 +88,41 @@ class SparsePolynomial:
             return np.zeros((0, self.n), dtype=np.int64)
         return np.asarray([e for e, _ in self.terms], dtype=np.int64)
 
+    @cached_property
+    def _plan(self) -> tuple[tuple, np.ndarray]:
+        """Per term, its (coordinate, exponent) factors with a nonzero
+        exponent; and the coefficient vector (T,)."""
+        factors = tuple(
+            tuple((j, np.int64(e)) for j, e in enumerate(exps) if e) for exps, _ in self.terms
+        )
+        return factors, np.asarray([c for _, c in self.terms], dtype=np.complex128)
+
     def eval(self, pts) -> np.ndarray | complex:
-        """Evaluate at one point (n,) or a batch (N, n); complex output."""
+        """Evaluate at one point (n,) or a batch (N, n); complex output.
+
+        Term by term: each monomial multiplies only its factors with a
+        nonzero exponent, then `mono @ C` sums the terms.  On a C-contiguous
+        batch the value equals `np.prod(P[:, None, :] ** E[None], axis=2) @ C`
+        bit for bit: z ** 1 and a factor z ** 0 = 1 are exact, an np.int64
+        power takes the same loop as the broadcast power, and two or more
+        factors are multiplied by `np.prod` along a contiguous axis, the same
+        reduction (a binary `x * y` may differ in the last bit).  The value
+        does not depend on the batch's memory layout.
+        """
         pts = np.asarray(pts, dtype=np.complex128)
         single = pts.ndim == 1
         P = pts.reshape(-1, self.n)
-        if self.is_zero:
-            out = np.zeros(P.shape[0], dtype=np.complex128)
-        else:
-            E = self.exponent_matrix()  # (T, n)
-            C = np.asarray([c for _, c in self.terms], dtype=np.complex128)  # (T,)
-            mono = np.prod(P[:, None, :] ** E[None, :, :], axis=2)  # (N, T)
-            out = mono @ C
+        factors, C = self._plan
+        mono = np.empty((P.shape[0], len(factors)), dtype=np.complex128)  # (N, T)
+        for t, term in enumerate(factors):
+            cols = [P[:, j] if e == 1 else P[:, j] ** e for j, e in term]
+            if not cols:
+                mono[:, t] = 1.0
+            elif len(cols) == 1:
+                mono[:, t] = cols[0]
+            else:
+                mono[:, t] = np.prod(np.stack(cols, axis=1), axis=1)
+        out = mono @ C
         return out[0] if single else out
 
     def partial(self, j: int) -> "SparsePolynomial":

@@ -3,8 +3,9 @@
 These deliberately avoid the package's adaptive quadrature: planar
 transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
-chart map, and the batched chart and variety code is checked against
-one-point, one-chart and one-row loops."""
+chart map, the batched chart and variety code is checked against
+one-point, one-chart and one-row loops, and the lean integrand path is
+checked against the general formulas it shortcuts."""
 
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ import dataclasses
 import math
 
 import numpy as np
+
+from dbarcone.quadrature import PlanarIntegrand, integrate_plane
+from dbarcone.solver import SolveResult, truncation_radius
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -208,3 +212,45 @@ def membership(variety, Z: np.ndarray, res: np.ndarray, tol: float) -> np.ndarra
     degs = np.asarray(variety.degrees, dtype=np.float64)
     scale = np.maximum(1.0, norms[:, None] ** (degs[None, :] / min(variety.weights.entries)))
     return np.all(np.abs(res) <= tol * scale, axis=1)
+
+
+def poly_eval_broadcast(poly, pts):
+    """Reference for SparsePolynomial.eval: every monomial as the product of
+    all n powers, zero exponents included, over an (N, T, n) broadcast."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    P = pts.reshape(-1, poly.n)
+    if poly.is_zero:
+        out = np.zeros(P.shape[0], dtype=np.complex128)
+    else:
+        E = poly.exponent_matrix()
+        C = np.asarray([c for _, c in poly.terms], dtype=np.complex128)
+        out = np.prod(P[:, None, :] ** E[None, :, :], axis=2) @ C
+    return out[0] if pts.ndim == 1 else out
+
+
+def solve_general_kernel(variety, form, z, params, pole: complex = 1.0 + 0j, m: int = 0):
+    """Reference for solver._solve at a nonzero z and pole: the kernel with
+    w ** beta and conj(w) ** (beta_k - 1) taken for every weight, unit ones
+    included, and the support cutoff applied by gathering the inside rows
+    and scattering the field's values into zeros."""
+    z = np.asarray(z, dtype=np.complex128)
+    W = truncation_radius(variety.weights, z, form.support_radius)
+    beta = variety.weights.as_array()
+    live = [k for k in range(variety.ambient_dim) if z[k] != 0]
+
+    def K(w: np.ndarray) -> np.ndarray:
+        P = (w[:, None] ** beta[None, :]) * z[None, :]
+        inside = np.linalg.norm(P, axis=1) < form.support_radius
+        F = np.zeros_like(P)
+        if inside.any():
+            F[inside] = form.field(P[inside])
+        wc = np.conj(w)
+        acc = np.zeros(w.shape, dtype=np.complex128)
+        for k in live:
+            acc += beta[k] * F[:, k] * wc ** (beta[k] - 1) * np.conj(z[k])
+        if m:
+            acc = acc * w ** m
+        return acc / (w - pole)
+
+    raw, est = integrate_plane(PlanarIntegrand(K, (pole,), W), params)
+    return SolveResult(raw / (2j * math.pi), est / (2 * math.pi), W)

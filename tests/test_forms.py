@@ -10,7 +10,8 @@ from dbarcone.forms import (
     scale_form,
     zero_form,
 )
-from dbarcone.variety import SparsePolynomial
+from dbarcone.solver import theta_pullback_form
+from dbarcone.variety import SparsePolynomial, Weights
 
 
 def test_support_mask_enforced():
@@ -95,3 +96,35 @@ def test_make_form_validation():
         make_form("bump-dbar", 2, r0=1.5, radius=1.0)
     with pytest.raises(KeyError):
         make_form("nope", 2)
+
+
+def test_builtin_forms_give_complex_coefficients():
+    # every builtin field returns complex128 (N, n): the all-inside batch
+    # gets the field's own value, the mixed batch the gathered rows
+    bump = make_form("bump-dbar", 3, h_terms=[((0, 0, 0), 1.0), ((1, 0, 0), 0.5)],
+                     r0=0.3, radius=1.0)
+    raw = make_form("raw-bump", 3, r0=0.3, radius=1.0)
+    forms = {
+        "zero": make_form("zero", 3),
+        "bump-dbar": bump,
+        "raw-bump": raw,
+        "combine": combine_forms(2.0, bump, -1j, raw),
+        "scale": scale_form(0.5j, raw),
+        "theta-pullback": theta_pullback_form(bump, Weights((1, 2, 3))),
+    }
+    rng = np.random.default_rng(12)
+    dirs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.linspace(0.05, 0.95, 40)
+    for name, form in forms.items():
+        inside = radii[:, None] * dirs
+        mixed = inside.copy()
+        mixed[::3] *= 3.0 * form.support_radius
+        for pts in (inside, mixed):
+            vals = form.coeff_matrix(pts)
+            assert vals.dtype == np.complex128 and vals.shape == (40, 3), name
+        kept = np.linalg.norm(mixed, axis=1) < form.support_radius
+        assert 0 < kept.sum() < 40
+        vals = form.coeff_matrix(mixed)
+        assert np.all(vals[~kept] == 0), name
+        assert np.array_equal(vals[kept], form.coeff_matrix(mixed[kept])), name

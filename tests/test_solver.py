@@ -20,7 +20,7 @@ from dbarcone.solver import (
 )
 from dbarcone.variety import Weights, act, project_batch
 
-from oracles import grid_cauchy_transform, grid_weighted_transform
+from oracles import grid_cauchy_transform, grid_weighted_transform, solve_general_kernel
 
 PARAMS = QuadratureParams(rel_tol=1e-8, abs_tol=1e-11)
 
@@ -120,6 +120,29 @@ def test_reported_error_bounds_near_line_point(bump2):
     z = np.array([0.0009364081160593808 - 0.0012061109576302937j, 0.0])
     err, est = _bump_solution_error(line2(), bump2, z, solve)
     assert err <= est
+
+
+@pytest.mark.parametrize("name", ["line2", "quadric-cone", "cusp"])
+def test_lean_kernel_matches_general_kernel(name):
+    # unit weights skip w ** 1 and conj(w) ** 0 and all-inside batches skip
+    # the support gather: every operator returns the same bits as the
+    # general kernel, on the weighted cusp too
+    V = make_variety(name)
+    n = V.ambient_dim
+    form = make_form("bump-dbar", n, h_terms=[((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.5)],
+                     r0=0.3, radius=1.0)
+    scales = (0.01 * np.exp(0.4j), 0.2 * np.exp(2.1j), 0.8 * np.exp(-1.3j))  # near, mid, far
+    for xi, s in zip(sample_link(V, len(scales), 17).points, scales):
+        z = act(s, V.weights, xi)
+        assert solve(V, form, z, PARAMS) == solve_general_kernel(V, form, z, PARAMS)
+        if V.weights.is_unit:
+            assert solve_l2(V, form, z, PARAMS) == solve_general_kernel(
+                V, form, z, PARAMS, m=V.pure_dim - 1
+            )
+        pole = 0.7 + 0.2j
+        assert solve_scaled(V, form, z, pole, PARAMS) == solve_general_kernel(
+            V, form, z, PARAMS, pole=pole
+        )
 
 
 def test_solve_scaled_consistency(bump3):

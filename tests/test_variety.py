@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbarcone.errors import NonHomogeneous, NotOnVariety, ZeroPolynomial
-from dbarcone.fixtures import cone6, cusp, line2, quadric_cone
+from dbarcone.fixtures import VARIETY_FIXTURES, cone6, cusp, line2, quadric_cone
+from dbarcone.solver import theta_cone
 from dbarcone.variety import (
     SparsePolynomial,
     Variety,
@@ -11,6 +12,7 @@ from dbarcone.variety import (
     act,
     contains,
     contains_batch,
+    gradient,
     is_regular,
     orbit_scale,
     project_batch,
@@ -19,7 +21,12 @@ from dbarcone.variety import (
     weighted_degree,
 )
 
-from oracles import orbit_scale_by_rows, project_whole_batch, regular_by_points
+from oracles import (
+    orbit_scale_by_rows,
+    poly_eval_broadcast,
+    project_whole_batch,
+    regular_by_points,
+)
 
 
 def test_weighted_degree_examples():
@@ -269,3 +276,44 @@ def test_regular_batch_matches_point_loop(make):
     assert np.array_equal(mask, regular_by_points(V, pts))
     assert mask.any() and not mask.all()
     assert [is_regular(V, z) for z in pts] == mask.tolist()
+
+
+def _same_bits(a, b) -> bool:
+    a = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
+    b = np.ascontiguousarray(b, dtype=np.complex128).reshape(-1)
+    return np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def _eval_cases() -> list[SparsePolynomial]:
+    """Fixture, theta-cone and monomial-curve polynomials with their
+    gradients, the zero and constant polynomials, and one dense cubic."""
+    polys = [q for make in VARIETY_FIXTURES.values() for q in make().polynomials]
+    polys += list(theta_cone(cusp()).polynomials)
+    # the monomial curve (t^3, t^4, t^5): y^2 - xz, x^3 - yz, z^2 - x^2 y
+    polys += [
+        SparsePolynomial.from_terms(3, [((0, 2, 0), 1.0), ((1, 0, 1), -1.0)]),
+        SparsePolynomial.from_terms(3, [((3, 0, 0), 1.0), ((0, 1, 1), -1.0)]),
+        SparsePolynomial.from_terms(3, [((0, 0, 2), 1.0), ((2, 1, 0), -1.0)]),
+    ]
+    polys += [
+        SparsePolynomial.from_terms(3, [((1, 2, 3), 0.5 - 1j), ((2, 0, 1), 2.0), ((0, 0, 0), 1j)])
+    ]
+    polys += [g for q in list(polys) for g in gradient(q)]
+    polys += [SparsePolynomial.from_terms(2, []), SparsePolynomial.from_terms(3, [((0, 0, 0), 1.5 - 2j)])]
+    return polys
+
+
+def test_eval_matches_broadcast_formula_bit_for_bit():
+    # on C-contiguous batches, the layout every caller in the package passes
+    rng = np.random.default_rng(31)
+    cases = _eval_cases()
+    assert max(max(e) for q in cases for e, _ in q.terms) == 6
+    for q in cases:
+        P = rng.standard_normal((257, q.n)) + 1j * rng.standard_normal((257, q.n))
+        P *= rng.uniform(0.0, 2.0, (257, 1))
+        for pts in (P, P[0], P[:0], P[:1]):
+            assert _same_bits(q.eval(pts), poly_eval_broadcast(q, pts)), (q, pts.shape)
+        assert np.shape(q.eval(P[0])) == () and q.eval(P[:0]).shape == (0,)
+        # the broadcast formula's last bits follow the memory layout of the
+        # batch; the term-by-term value does not
+        assert _same_bits(q.eval(np.asfortranarray(P)), q.eval(P)), q
