@@ -16,7 +16,6 @@ from .measure import (
     LinkSample,
     PathApprox,
     SurfaceEstimate,
-    dist_sigma,
     dist_sigma_path,
     l2_norm_form,
     l2_norm_function,
@@ -40,7 +39,6 @@ from .solver import (
     theta_map,
     theta_pullback_form,
     truncation_radius,
-    weighted_cauchy_pompeiu,
 )
 from .variety import (
     SparsePolynomial,
@@ -49,7 +47,6 @@ from .variety import (
     act,
     contains,
     is_regular,
-    project_to_variety,
     weighted_degree,
 )
 from .verify import (
@@ -87,7 +84,6 @@ __all__ = [
     "combine_forms",
     "contains",
     "dbar_residual",
-    "dist_sigma",
     "dist_sigma_path",
     "holder_report",
     "integrate_plane",
@@ -96,7 +92,6 @@ __all__ = [
     "l2_norm_function",
     "l2_report",
     "measure_scaling_check",
-    "project_to_variety",
     "raw_bump_form",
     "sample_link",
     "scale_form",
@@ -109,7 +104,6 @@ __all__ = [
     "theta_map",
     "theta_pullback_form",
     "truncation_radius",
-    "weighted_cauchy_pompeiu",
     "weighted_degree",
     "zero_form",
 ]

@@ -104,39 +104,34 @@ class Chart:
         return slice_newton(self.variety, Y, dep)
 
     def slice_point(self, x) -> np.ndarray:
-        """One slice point y(x); raises NewtonDivergence on failure."""
-        X = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-        Y, ok = self.slice_batch(X)
-        if not ok[0]:
-            raise NewtonDivergence(f"slice Newton failed at x = {x}")
-        return Y[0]
-
-    def _check_domain(self, x):
+        """One slice point y(x); raises OutsideChartDomain when x lies
+        outside the domain radius and NewtonDivergence on failure."""
         x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        if self.slice_dim == 0:
-            return x
-        if np.linalg.norm(x - self.x_anchor) > self.domain_radius:
+        if self.slice_dim and np.linalg.norm(x - self.x_anchor) > self.domain_radius:
             raise OutsideChartDomain(
                 f"|x - x_anchor| = {np.linalg.norm(x - self.x_anchor):.3g} exceeds "
                 f"domain radius {self.domain_radius:.3g}"
             )
-        return x
+        Y, ok = self.slice_batch(x.reshape(1, -1))
+        if not ok[0]:
+            raise NewtonDivergence(f"slice Newton failed at x = {x}")
+        return Y[0]
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, s: complex, x=()) -> np.ndarray:
         """Pi(s, x) = s^beta * y(x); Pi(0, x) = 0."""
-        y = self.slice_point(self._check_domain(x))
+        y = self.slice_point(x)
         return act(complex(s), self.variety.weights, y)
 
     # -- inversion -------------------------------------------------------
 
-    def invert(self, z, tol: float = 1e-8) -> tuple[complex, np.ndarray]:
+    def invert(self, z) -> tuple[complex, np.ndarray]:
         """Local inverse of Pi for z != 0 in the chart image.
 
         For unit weights s = z_pivot / anchor_pivot exactly; general weights
         try all beta_pivot-th roots and keep the one whose slice coordinates
-        land in the domain.
+        land in the domain and whose solved slice point matches to 1e-8.
         """
         z = np.asarray(z, dtype=np.complex128)
         zp = z[self.pivot]
@@ -157,7 +152,7 @@ class Chart:
                 y_solved = self.slice_point(x)
             except NewtonDivergence:
                 continue
-            if np.linalg.norm(y_solved - y) <= tol * (1.0 + np.linalg.norm(y)):
+            if np.linalg.norm(y_solved - y) <= 1e-8 * (1.0 + np.linalg.norm(y)):
                 dist = np.linalg.norm(x - self.x_anchor) if self.slice_dim else 0.0
                 if best is None or dist < best[0]:
                     best = (dist, complex(s), x)
@@ -175,7 +170,7 @@ class Chart:
         F0  = sum_k f_k(Pi) beta_k conj(s^(beta_k - 1) y_k)
         F_j = sum_{k != pivot} f_k(Pi) conj(s^beta_k dy_k/dx_j)
         """
-        return self.pullback_at_slice(form, s, self.slice_point(self._check_domain(x)))
+        return self.pullback_at_slice(form, s, self.slice_point(x))
 
     def pullback_at_slice(
         self, form: ZeroOneForm, s: complex, y: np.ndarray
@@ -222,11 +217,7 @@ def _probe_domain_radius(chart_args: dict, x_anchor: np.ndarray) -> float:
     return 0.5 * float(ts[first_fail].min())
 
 
-def build_chart(
-    variety: Variety,
-    anchor,
-    tol: float = 1e-9,
-) -> Chart:
+def build_chart(variety: Variety, anchor) -> Chart:
     """Construct the generalized-cone chart anchored at a regular point.
 
     The pivot maximizes |anchor_k| (requires max >= 1: rescale to the link
@@ -236,9 +227,7 @@ def build_chart(
     anchor = np.asarray(anchor, dtype=np.complex128)
     if variety.pure_dim is None:
         raise ValueError("build_chart requires pure_dim")
-    if np.linalg.norm(anchor) == 0.0 or not is_regular(
-        variety, anchor, contains_tol=max(tol, 1e-9)
-    ):
+    if np.linalg.norm(anchor) == 0.0 or not is_regular(variety, anchor):
         raise SingularAnchor(f"anchor {anchor} is not a regular point")
     pivot = int(np.argmax(np.abs(anchor)))
     if abs(anchor[pivot]) < 1.0 - 1e-9:

@@ -418,7 +418,7 @@ def _run_job(config: RunConfig, seed: int):
         results["n_pairs"] = len(rep.pairs)
     elif jt == "l2":
         rep = l2_report(variety, form, job["radius"], job["samples"], seed,
-                        n_anchors=config.monte_carlo["anchors"])
+                        params=params, n_anchors=config.monte_carlo["anchors"])
         results.update(
             {
                 "g_norm": rep.g_norm,
@@ -563,6 +563,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         config = parse_config(text)
+        if args.command == "run" and args.seed is not None:
+            _number(args.seed, "--seed", minimum=0, integer=True)
     except (ParseError, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -571,13 +573,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("config ok")
         return 0
 
-    code, report = run(
-        config,
-        out_path=args.out,
-        out_format=args.format,
-        seed_override=args.seed,
-        reproducible=args.reproducible,
-    )
+    try:
+        code, report = run(
+            config,
+            out_path=args.out,
+            out_format=args.format,
+            seed_override=args.seed,
+            reproducible=args.reproducible,
+        )
+    except OSError as exc:  # jobs read no files, so this is the report write
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     if code != 0:
         err = report.get("error", {})
         print(f"error: {err.get('type')}: {err.get('message')}", file=sys.stderr)

@@ -21,10 +21,6 @@ class NoConvergence(DbarConeError):
     """An iteration or refinement budget ran out before the tolerance was met."""
 
 
-class ConvergedToSingular(DbarConeError):
-    pass
-
-
 class SingularAnchor(DbarConeError):
     pass
 
@@ -51,10 +47,6 @@ class NotInChart(DbarConeError):
 
 class NotACone(DbarConeError):
     """Operation requires unit weights (beta = (1,...,1))."""
-
-
-class ZeroScaleWithWeight(DbarConeError):
-    pass
 
 
 class InsufficientSamples(DbarConeError):

@@ -75,9 +75,11 @@ def radial_cutoff_deriv(pts: np.ndarray, r0: float, R: float) -> np.ndarray:
     return -_smoothstep_deriv(t, r0 * r0, R * R)
 
 
-def estimate_sup_bound(field: Field, n: int, radius: float, samples: int = 4096) -> float:
+def estimate_sup_bound(field: Field, n: int, radius: float) -> float:
     """Deterministic upper proxy for sup |lambda|: max of the coefficient
-    vector 2-norm over a seeded ambient sample of the support ball."""
+    vector 2-norm over a seeded ambient sample of 4096 points of the
+    support ball."""
+    samples = 4096
     rng = np.random.default_rng(0x5EED)
     dirs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]

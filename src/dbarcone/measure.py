@@ -41,7 +41,6 @@ __all__ = [
     "surface_integral",
     "l2_norm_function",
     "l2_norm_form",
-    "dist_sigma",
     "dist_sigma_path",
 ]
 
@@ -83,18 +82,16 @@ def _rescale_to_norm(variety: Variety, pts: np.ndarray, target: float) -> np.nda
     return act(orbit_scale(variety.weights, pts, target), variety.weights, pts)
 
 
-def sample_link(
-    variety: Variety, count: int, rng_seed: int, max_batches: int = 50
-) -> LinkSample:
+def sample_link(variety: Variety, count: int, rng_seed: int) -> LinkSample:
     """Project random ambient Gaussians onto the variety, then rescale along
-    the scaling orbit to the sphere of radius sqrt(n)."""
+    the scaling orbit to the sphere of radius sqrt(n), in at most 50 batches."""
     rng = np.random.default_rng(rng_seed)
     n = variety.ambient_dim
     target = math.sqrt(n)
     kept: list[np.ndarray] = []
     used = 0
     attempted = 0
-    while sum(len(k) for k in kept) < count and used < max_batches:
+    while sum(len(k) for k in kept) < count and used < 50:
         used += 1
         m = max(2 * count, 32)
         attempted += m
@@ -291,15 +288,15 @@ def _cone_mc(
     rho: float,
     n_samples: int,
     rng_seed: int,
-    n_anchors: int,
     point_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     form: Optional[ZeroOneForm] = None,
     atlas: Optional[ConeAtlas] = None,
 ) -> SurfaceEstimate:
     """Shared stratified estimator; integrand is point_fn(Z) or, when `form`
-    is given, the squared induced norm of the form."""
+    is given, the squared induced norm of the form.  Without an atlas it
+    builds one on 24 anchors."""
     if atlas is None:
-        atlas = ConeAtlas(variety, n_anchors, rng_seed)
+        atlas = ConeAtlas(variety, 24, rng_seed)
     rng = np.random.default_rng((rng_seed, 0xA7145))
     d = atlas.d
     m = atlas.m
@@ -365,14 +362,11 @@ def surface_integral(
     rho: float,
     n_samples: int,
     rng_seed: int,
-    n_anchors: int = 24,
     atlas: Optional[ConeAtlas] = None,
 ) -> SurfaceEstimate:
     """Monte Carlo estimate of the surface integral of a real integrand over
     Sigma intersect B_rho; `integrand` maps an (N, n) batch to (N,) reals."""
-    return _cone_mc(
-        variety, rho, n_samples, rng_seed, n_anchors, point_fn=integrand, atlas=atlas
-    )
+    return _cone_mc(variety, rho, n_samples, rng_seed, point_fn=integrand, atlas=atlas)
 
 
 def l2_norm_function(
@@ -381,7 +375,6 @@ def l2_norm_function(
     rho: float,
     n_samples: int,
     rng_seed: int,
-    n_anchors: int = 24,
     atlas: Optional[ConeAtlas] = None,
 ) -> SurfaceEstimate:
     """sqrt of the surface integral of |h|^2 (see `_square_root`)."""
@@ -390,7 +383,7 @@ def l2_norm_function(
         return np.abs(np.asarray(h(Z), dtype=np.complex128)) ** 2
 
     return _square_root(
-        _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, point_fn=sq, atlas=atlas)
+        _cone_mc(variety, rho, n_samples, rng_seed, point_fn=sq, atlas=atlas)
     )
 
 
@@ -400,15 +393,12 @@ def l2_norm_form(
     rho: float,
     n_samples: int,
     rng_seed: int,
-    n_anchors: int = 24,
     atlas: Optional[ConeAtlas] = None,
 ) -> SurfaceEstimate:
     """L2 norm of a (0,1)-form over Sigma intersect B_rho using the induced
     pointwise norm (orthonormalized chart frame), so the value is invariant
     under coefficient representations that agree on the tangent space."""
-    return _square_root(
-        _cone_mc(variety, rho, n_samples, rng_seed, n_anchors, form=form, atlas=atlas)
-    )
+    return _square_root(_cone_mc(variety, rho, n_samples, rng_seed, form=form, atlas=atlas))
 
 
 def _square_root(est: SurfaceEstimate) -> SurfaceEstimate:
@@ -508,7 +498,3 @@ def dist_sigma_path(
         interior.shape[0] and floor > 0 and np.linalg.norm(interior, axis=1).min() < floor
     )
     return PathApprox(path, length, near_sing)
-
-
-def dist_sigma(variety: Variety, z, w, steps: int = 24) -> float:
-    return dist_sigma_path(variety, z, w, steps).length

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotACone, NotOnVariety, ZeroScaleWithWeight
+from .errors import NotACone, NotOnVariety
 from .forms import ZeroOneForm, estimate_sup_bound
-from .quadrature import PlanarIntegrand, QuadratureParams, cauchy_transform, integrate_plane
+from .quadrature import PlanarIntegrand, QuadratureParams, integrate_plane
 from .variety import Variety, Weights, contains, orbit_scale
 
 _TWO_PI_I = 2j * math.pi
@@ -55,13 +55,13 @@ def truncation_radius(weights: Weights, z: np.ndarray, support_radius: float) ->
     return float(orbit_scale(weights, z[None, :], support_radius)[0]) * (1.0 + 1e-9)
 
 
-def _check_point(variety: Variety, form: ZeroOneForm, z, contains_tol: float) -> np.ndarray:
+def _check_point(variety: Variety, form: ZeroOneForm, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (variety.ambient_dim,):
         raise ValueError("point dimension mismatch")
     if form.n != variety.ambient_dim:
         raise ValueError("form dimension mismatch")
-    if not contains(variety, z, contains_tol):
+    if not contains(variety, z, 1e-8):
         raise NotOnVariety(f"solve point {z} is not on the variety")
     return z
 
@@ -71,7 +71,6 @@ def _solve(
     form: ZeroOneForm,
     z,
     params: QuadratureParams,
-    contains_tol: float,
     pole: complex = 1.0 + 0j,
     m: int = 0,
 ) -> SolveResult:
@@ -84,7 +83,7 @@ def _solve(
     cones.  g(0) = 0 is returned directly, and so is pole = 0, where the
     substitution of `solve_scaled` degenerates.
     """
-    z = _check_point(variety, form, z, contains_tol)
+    z = _check_point(variety, form, z)
     if pole == 0:
         return SolveResult(0j, 0.0, 0.0)
     W = truncation_radius(variety.weights, z, form.support_radius)
@@ -122,7 +121,6 @@ def solve(
     form: ZeroOneForm,
     z,
     params: QuadratureParams = QuadratureParams(),
-    contains_tol: float = 1e-8,
 ) -> SolveResult:
     """Evaluate the solution operator at a point of the variety.
 
@@ -130,7 +128,7 @@ def solve(
     single singular point w = 1 (inside the truncation disk only when the
     orbit through z meets the support of the form there).
     """
-    return _solve(variety, form, z, params, contains_tol)
+    return _solve(variety, form, z, params)
 
 
 def solve_scaled(
@@ -139,7 +137,6 @@ def solve_scaled(
     z,
     s: complex,
     params: QuadratureParams = QuadratureParams(),
-    contains_tol: float = 1e-8,
 ) -> SolveResult:
     """g(s^beta * z) through the change of variables u = w s: same kernel in
     the original orbit coordinate but with the singular point moved to u = s.
@@ -147,7 +144,7 @@ def solve_scaled(
     The substitution degenerates at s = 0, where g(0) = 0 is returned
     directly.
     """
-    return _solve(variety, form, z, params, contains_tol, pole=complex(s))
+    return _solve(variety, form, z, params, pole=complex(s))
 
 
 def solve_l2(
@@ -155,7 +152,6 @@ def solve_l2(
     form: ZeroOneForm,
     z,
     params: QuadratureParams = QuadratureParams(),
-    contains_tol: float = 1e-8,
 ) -> SolveResult:
     """L2 variant on pure d-dimensional cones:
 
@@ -168,34 +164,7 @@ def solve_l2(
         raise NotACone("solve_l2 requires unit weights")
     if variety.pure_dim is None:
         raise ValueError("solve_l2 requires pure_dim")
-    return _solve(variety, form, z, params, contains_tol, m=variety.pure_dim - 1)
-
-
-def weighted_cauchy_pompeiu(
-    F0_slice,
-    m: int,
-    s: complex,
-    support_radius: float,
-    params: QuadratureParams = QuadratureParams(),
-) -> complex:
-    """(1/2 pi i) s^(-m) * integral of u^m F0(u) / (u - s) du ^ dubar: the
-    planar Cauchy transform of u^m F0(u), divided by s^m.
-
-    The weight u^m / s^m makes the slice transform match the L2 operator on
-    d-dimensional cones (m = d - 1); m = 0 is the plain Cauchy transform.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    s = complex(s)
-    if s == 0 and m > 0:
-        raise ZeroScaleWithWeight("s = 0 is not allowed when m > 0")
-    value = cauchy_transform(
-        lambda u: (u ** m) * np.asarray(F0_slice(u), dtype=np.complex128),
-        support_radius,
-        s,
-        params,
-    )
-    return value / (s ** m if m > 0 else 1.0)
+    return _solve(variety, form, z, params, m=variety.pure_dim - 1)
 
 
 def theta_map(weights: Weights, z) -> np.ndarray:

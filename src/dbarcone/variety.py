@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergedToSingular,
-    NoConvergence,
-    NonHomogeneous,
-    NotOnVariety,
-    ZeroPolynomial,
-)
+from .errors import NonHomogeneous, NotOnVariety, ZeroPolynomial
 
 DEFAULT_CONTAINS_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
@@ -255,29 +249,24 @@ def contains(variety: Variety, z, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
     return bool(contains_batch(variety, np.reshape(z, (1, -1)), tol)[0])
 
 
-def regular_batch(variety: Variety, pts, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def regular_batch(variety: Variety, pts) -> np.ndarray:
     """Numerical-rank mask of a batch (N, n) of points on the variety: the
     Jacobian rank equals n - pure_dim.  Singular values below
-    tol * sigma_max count as zero; membership is not tested."""
+    DEFAULT_RANK_TOL * sigma_max count as zero; membership is not tested."""
     if variety.pure_dim is None:
         raise ValueError("is_regular requires pure_dim")
     sv = np.linalg.svd(variety.jacobian(pts), compute_uv=False)  # (N, min(K, n))
-    rank = np.sum(sv > tol * sv[:, :1], axis=1)
+    rank = np.sum(sv > DEFAULT_RANK_TOL * sv[:, :1], axis=1)
     return rank == variety.ambient_dim - variety.pure_dim
 
 
-def is_regular(
-    variety: Variety,
-    z,
-    tol: float = DEFAULT_RANK_TOL,
-    contains_tol: float = DEFAULT_CONTAINS_TOL,
-) -> bool:
+def is_regular(variety: Variety, z) -> bool:
     """`regular_batch` at one point; raises NotOnVariety when z fails the
-    membership test at contains_tol."""
+    membership test at DEFAULT_CONTAINS_TOL."""
     P = np.reshape(z, (1, -1))
-    if not contains_batch(variety, P, contains_tol)[0]:
-        raise NotOnVariety(f"point {z} is not on the variety at tol {contains_tol}")
-    return bool(regular_batch(variety, P, tol)[0])
+    if not contains_batch(variety, P)[0]:
+        raise NotOnVariety(f"point {z} is not on the variety at tol {DEFAULT_CONTAINS_TOL}")
+    return bool(regular_batch(variety, P)[0])
 
 
 def orbit_scale(weights: Weights, pts, target: float) -> np.ndarray:
@@ -426,32 +415,3 @@ def project_batch(
     N, n = Z.shape
     cols = np.broadcast_to(np.arange(n), (N, n))
     return damped_newton(variety, Z, cols, tol, tol, max_iter, 20)
-
-
-def project_to_variety(
-    variety: Variety,
-    z0,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-    check_regular: bool = True,
-) -> np.ndarray:
-    """Project one point onto the variety by damped Gauss-Newton.
-
-    A point that already satisfies the membership test is returned
-    unchanged (the origin in particular).  When pure_dim is known and
-    check_regular is set, landing on a singular point that was not the
-    input raises ConvergedToSingular.
-    """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    if contains(variety, z0, max(tol, DEFAULT_CONTAINS_TOL)):
-        return z0.copy()
-    Z, ok = project_batch(variety, z0.reshape(1, -1), tol=tol, max_iter=max_iter)
-    if not ok[0]:
-        raise NoConvergence(
-            f"Gauss-Newton projection did not reach tol {tol} in {max_iter} iterations"
-        )
-    z = Z[0]
-    if check_regular and variety.pure_dim is not None:
-        if not is_regular(variety, z, contains_tol=max(tol, DEFAULT_CONTAINS_TOL)):
-            raise ConvergedToSingular(f"projection landed on a singular point {z}")
-    return z

@@ -75,7 +75,7 @@ def _residual_at(
     h: float,
     norm: float,
 ) -> tuple[float, list[float]]:
-    y = chart.slice_point(chart._check_domain(x))
+    y = chart.slice_point(x)
     F0, FJ = chart.pullback_at_slice(form, s, y)
     weights = chart.variety.weights
     step = h * max(1.0, abs(s))
@@ -206,8 +206,6 @@ def holder_report(
     rng_seed: int,
     params: QuadratureParams = QuadratureParams(rel_tol=1e-7, abs_tol=1e-10),
     scale_factors: Sequence[float] = (1.0, 0.1, 0.01),
-    solver=solve,
-    dist_steps: int = 24,
 ) -> HolderReport:
     """Sample same-line, same-slice, and general pairs in Sigma cap B_R
     (plus rescaled copies approaching the singularity), evaluate
@@ -257,10 +255,10 @@ def holder_report(
     for kind, z0, w0 in base_pairs:
         for t in scale_factors:
             z, w = t * z0, t * w0
-            gz = solver(variety, form, z, params).value
-            gw = solver(variety, form, w, params).value
+            gz = solve(variety, form, z, params).value
+            gw = solve(variety, form, w, params).value
             dg = abs(gz - gw)
-            path = dist_sigma_path(variety, z, w, steps=dist_steps)
+            path = dist_sigma_path(variety, z, w)
             chord = float(np.linalg.norm(z - w))
             rows.append(
                 HolderPair(

@@ -48,30 +48,6 @@ def grid_cauchy_transform(f, support_radius: float, z: complex, N: int = 1200) -
     return -total / np.pi
 
 
-def grid_weighted_transform(
-    f, m: int, s: complex, support_radius: float, N: int = 1200
-) -> complex:
-    """(1/2 pi i) s^-m * integral of u^m f(u)/(u - s) du ^ dubar, same scheme."""
-    W = float(support_radius)
-    xs = (np.arange(N) + 0.5) / N * 2 * W - W
-    X, Y = np.meshgrid(xs, xs)
-    U = X + 1j * Y
-    h2 = (2 * W / N) ** 2
-    inside = np.abs(U) <= W
-    gu = (U.ravel() ** m) * np.asarray(f(U.ravel()), dtype=np.complex128)
-    gu = gu.reshape(U.shape)
-    gs = (
-        (s ** m) * complex(np.asarray(f(np.array([s])), dtype=np.complex128)[0])
-        if abs(s) < W
-        else 0.0
-    )
-    D = U - s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(inside & (D != 0), (gu - gs) / np.where(D == 0, 1.0, D), 0.0)
-    total = np.sum(vals) * h2 + gs * disk_cauchy_mean(s, W)
-    return (-total / np.pi) / (s ** m if m else 1.0)
-
-
 def fd_chart_pullback(chart, form, s: complex, x, h: float = 1e-6):
     """Pullback coefficients by central finite differences of the chart map
     (holomorphic, so real-direction differences suffice)."""

@@ -215,6 +215,45 @@ def test_l2_job_smoke(tmp_path):
     assert not report["results"]["degenerate"]
 
 
+def test_l2_job_uses_quadrature_section(tmp_path):
+    # the l2 job solves with the config's quadrature parameters: one panel
+    # cannot meet the tolerance, so the job fails instead of running at
+    # the operator's own defaults
+    cfg = {
+        "variety": "line2",
+        "form": {"builtin": "bump-dbar", "r0": 0.3, "radius": 1.0},
+        "job": {"type": "l2", "radius": 1.0, "samples": 16},
+        "quadrature": {"max_panels": 1},
+        "monte_carlo": {"anchors": 2},
+        "seed": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg_path), "--reproducible", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["type"] == "NoConvergence"
+
+
+@pytest.mark.parametrize("name", ["solve_line", "residual_quadric"])
+def test_negative_seed_override_rejected(tmp_path, capsys, name):
+    config = next(p for p in SHIPPED_CONFIGS if p.stem == name)
+    out = tmp_path / "r.json"
+    assert main(["run", str(config), "--seed", "-1", "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_report_path(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report:")
+    assert str(out) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_scaling_job_smoke(tmp_path):
     report = _run_cfg(tmp_path, {
         "variety": "line2",

@@ -7,7 +7,6 @@ from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
     ConeAtlas,
-    dist_sigma,
     dist_sigma_path,
     l2_norm_form,
     l2_norm_function,
@@ -114,8 +113,8 @@ def test_l2_norm_form_representation_invariance():
 
 def test_dist_trivials():
     L = line2()
-    assert dist_sigma(L, [0.5, 0], [0.5, 0]) == 0.0
-    d = dist_sigma(L, [0.5, 0], [0.2 + 0.1j, 0])
+    assert dist_sigma_path(L, [0.5, 0], [0.5, 0]).length == 0.0
+    d = dist_sigma_path(L, [0.5, 0], [0.2 + 0.1j, 0]).length
     assert abs(d - abs(0.5 - (0.2 + 0.1j))) < 1e-9
 
 
@@ -123,7 +122,7 @@ def test_dist_radial_pair_on_cone():
     V = quadric_cone()
     z = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
     for t in (0.25, 0.7):
-        d = dist_sigma(V, z, t * z)
+        d = dist_sigma_path(V, z, t * z).length
         assert abs(d - (1 - t)) < 1e-8
 
 
@@ -133,8 +132,8 @@ def test_dist_lower_bound_and_symmetry():
     pts = sample_link(V, 6, 23).points / np.sqrt(3)
     for i in range(0, 6, 2):
         z, w = pts[i], pts[i + 1] * 0.6
-        dzw = dist_sigma(V, z, w)
-        dwz = dist_sigma(V, w, z)
+        dzw = dist_sigma_path(V, z, w).length
+        dwz = dist_sigma_path(V, w, z).length
         assert dzw >= np.linalg.norm(z - w) - 1e-12
         assert abs(dzw - dwz) < 1e-8
 
@@ -144,9 +143,9 @@ def test_dist_triangle_within_slack():
     pts = sample_link(V, 3, 29).points / np.sqrt(3)
     z, v, w = pts
     steps = 24
-    dzw = dist_sigma(V, z, w, steps)
-    dzv = dist_sigma(V, z, v, steps)
-    dvw = dist_sigma(V, v, w, steps)
+    dzw = dist_sigma_path(V, z, w, steps).length
+    dzv = dist_sigma_path(V, z, v, steps).length
+    dvw = dist_sigma_path(V, v, w, steps).length
     slack = 2 * (np.linalg.norm(z - w) / steps)
     assert dzw <= dzv + dvw + slack + 1e-9
 
@@ -154,7 +153,7 @@ def test_dist_triangle_within_slack():
 def test_dist_to_origin_and_near_singular_flag():
     V = quadric_cone()
     z = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
-    d = dist_sigma(V, z, np.zeros(3))
+    d = dist_sigma_path(V, z, np.zeros(3)).length
     assert abs(d - 1.0) < 1e-6
     # antipodal-ish pair on a cone routes near the origin
     path = dist_sigma_path(V, z * 0.5, -z * 0.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbarcone.errors import NotACone, NotOnVariety, ZeroScaleWithWeight
+from dbarcone.errors import NotACone, NotOnVariety
 from dbarcone.fixtures import cone6, cusp, line2, make_form, make_variety, quadric_cone
 from dbarcone.forms import combine_forms, radial_cutoff, scale_form
 from dbarcone.measure import sample_link
@@ -16,11 +16,10 @@ from dbarcone.solver import (
     theta_map,
     theta_pullback_form,
     truncation_radius,
-    weighted_cauchy_pompeiu,
 )
 from dbarcone.variety import Weights, act, project_batch
 
-from oracles import grid_cauchy_transform, grid_weighted_transform, solve_general_kernel
+from oracles import grid_cauchy_transform, solve_general_kernel
 
 PARAMS = QuadratureParams(rel_tol=1e-8, abs_tol=1e-11)
 
@@ -191,34 +190,6 @@ def test_line_operators_share_one_solve_path(bump2):
     a = solve(L, bump2, z, PARAMS)
     assert solve_scaled(L, bump2, z, 1.0, PARAMS) == a
     assert solve_l2(L, bump2, z, PARAMS) == a
-
-
-def test_weighted_cauchy_pompeiu_m0_is_cauchy_transform():
-    disk = lambda u: (np.abs(u) < 1.0).astype(complex)  # noqa: E731
-    z = 0.3 + 0.4j
-    v = weighted_cauchy_pompeiu(disk, 0, z, 1.0, PARAMS)
-    assert abs(v - np.conj(z)) < 1e-8
-
-
-def test_weighted_cauchy_pompeiu_zero_form():
-    v = weighted_cauchy_pompeiu(lambda u: np.zeros_like(u), 2, 0.5, 1.0, PARAMS)
-    assert abs(v) < 1e-12
-
-
-def test_weighted_cauchy_pompeiu_m1_disk():
-    # analytic value for the unit-disk indicator at s = 0.5:
-    # (1/s) * (-1/pi) * integral u/(u-s) dA = -(1 - |s|^2)/s = -1.5
-    disk = lambda u: (np.abs(u) < 1.0).astype(complex)  # noqa: E731
-    v = weighted_cauchy_pompeiu(disk, 1, 0.5, 1.0, PARAMS)
-    assert abs(v - (-1.5)) < 1e-7
-    # midpoint grid is limited to ~1e-4 for a discontinuous indicator
-    oracle = grid_weighted_transform(disk, 1, 0.5, 1.0, N=1200)
-    assert abs(v - oracle) < 2e-4
-
-
-def test_weighted_cauchy_pompeiu_rejects_zero_scale():
-    with pytest.raises(ZeroScaleWithWeight):
-        weighted_cauchy_pompeiu(lambda u: np.ones_like(u), 1, 0.0, 1.0, PARAMS)
 
 
 def test_theta_map_basics():
