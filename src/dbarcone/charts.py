@@ -11,6 +11,10 @@ the remaining coordinates by Newton's method.  Charts also provide the
 pullback coefficients of a (0,1)-form through Pi.  `slice_tangents` is the
 one implicit-function Jacobian dy/dx, batched: the pullback, the tangent
 frames and the surface measure all use it.
+
+Charts carry no trusted radius.  A point is rejected where the slice Newton
+does not converge (`NewtonDivergence`, or the `ok` mask that the Monte Carlo
+counts as `newton_failures`) or fails `ConeAtlas.assign`'s branch match.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .errors import (
     ImplicitFunctionFailure,
     NewtonDivergence,
     NotInChart,
-    OutsideChartDomain,
     PivotTooSmall,
     SingularAnchor,
 )
@@ -80,7 +83,6 @@ class Chart:
     dep: tuple[int, ...]  # ambient indices of the solved slice coordinates
     x_anchor: np.ndarray  # (m,) free coordinates of the anchor
     slice_dim: int  # m = d - 1
-    domain_radius: float
 
     # -- slice solving ---------------------------------------------------
 
@@ -104,14 +106,9 @@ class Chart:
         return slice_newton(self.variety, Y, dep)
 
     def slice_point(self, x) -> np.ndarray:
-        """One slice point y(x); raises OutsideChartDomain when x lies
-        outside the domain radius and NewtonDivergence on failure."""
+        """One slice point y(x); raises NewtonDivergence when the slice
+        Newton does not converge."""
         x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-        if self.slice_dim and np.linalg.norm(x - self.x_anchor) > self.domain_radius:
-            raise OutsideChartDomain(
-                f"|x - x_anchor| = {np.linalg.norm(x - self.x_anchor):.3g} exceeds "
-                f"domain radius {self.domain_radius:.3g}"
-            )
         Y, ok = self.slice_batch(x.reshape(1, -1))
         if not ok[0]:
             raise NewtonDivergence(f"slice Newton failed at x = {x}")
@@ -130,8 +127,8 @@ class Chart:
         """Local inverse of Pi for z != 0 in the chart image.
 
         For unit weights s = z_pivot / anchor_pivot exactly; general weights
-        try all beta_pivot-th roots and keep the one whose slice coordinates
-        land in the domain and whose solved slice point matches to 1e-8.
+        try all beta_pivot-th roots and keep the one whose solved slice point
+        matches to 1e-8, nearest the anchor's slice coordinates.
         """
         z = np.asarray(z, dtype=np.complex128)
         zp = z[self.pivot]
@@ -146,8 +143,6 @@ class Chart:
         for s in candidates:
             y = z * s ** (-beta.astype(np.float64))
             x = y[list(self.free)] if self.slice_dim else np.zeros(0, complex)
-            if self.slice_dim and np.linalg.norm(x - self.x_anchor) > self.domain_radius:
-                continue
             try:
                 y_solved = self.slice_point(x)
             except NewtonDivergence:
@@ -187,42 +182,12 @@ class Chart:
         return F0, FJ
 
 
-def _probe_domain_radius(chart_args: dict, x_anchor: np.ndarray) -> float:
-    """Half the distance at which the slice Newton first fails along random
-    rays from the anchor; cheap honest estimate of the implicit-function
-    neighborhood.
-
-    Every step of every ray is solved in one batch.  Each solve starts from
-    the anchor's branch, as `slice_batch` does for the chart's users, so the
-    radius bounds where that Newton still converges.  A ray's failure
-    distance is its first failing step, or the step after the last when
-    none fails."""
-    m = len(x_anchor)
-    if m == 0:
-        return math.inf
-    probe = Chart(domain_radius=math.inf, **chart_args)
-    rng = np.random.default_rng(0x271828)
-    n_rays = 2 * m + 4
-    dirs = rng.standard_normal((n_rays, m)) + 1j * rng.standard_normal((n_rays, m))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    n_steps = 14
-    ts = [0.05 * (1.0 + np.linalg.norm(x_anchor))]
-    for _ in range(n_steps):
-        ts.append(ts[-1] * 1.6)
-    ts = np.asarray(ts)
-    X = x_anchor + ts[:n_steps, None, None] * dirs[None, :, :]  # (steps, rays, m)
-    _, ok = probe.slice_batch(X.reshape(-1, m))
-    failed = ~ok.reshape(n_steps, n_rays)
-    first_fail = np.where(failed.any(axis=0), failed.argmax(axis=0), n_steps)
-    return 0.5 * float(ts[first_fail].min())
-
-
 def build_chart(variety: Variety, anchor) -> Chart:
     """Construct the generalized-cone chart anchored at a regular point.
 
     The pivot maximizes |anchor_k| (requires max >= 1: rescale to the link
     first); free slice coordinates are chosen by pivoted QR on the slice
-    Jacobian; the trusted domain radius is probed at construction.
+    Jacobian.
     """
     anchor = np.asarray(anchor, dtype=np.complex128)
     if variety.pure_dim is None:
@@ -249,15 +214,12 @@ def build_chart(variety: Variety, anchor) -> Chart:
         )
     dep = tuple(others[perm[i]] for i in range(corank))
     free = tuple(others[perm[i]] for i in range(corank, n - 1))
-    x_anchor = anchor[list(free)].copy()
-    args = dict(
+    return Chart(
         variety=variety,
         anchor=anchor,
         pivot=pivot,
         free=free,
         dep=dep,
-        x_anchor=x_anchor,
+        x_anchor=anchor[list(free)].copy(),
         slice_dim=m,
     )
-    radius = _probe_domain_radius(args, x_anchor)
-    return Chart(domain_radius=radius, **args)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -256,6 +258,8 @@ def _parse_job(obj, n: int, path: str) -> dict:
         if not isinstance(radii, list) or len(radii) < 2:
             _fail(f"{path}.radii", "expected a list of at least 2 radii")
         out["radii"] = [_number(r, f"{path}.radii[{i}]", minimum=1e-12) for i, r in enumerate(radii)]
+        if len(set(out["radii"])) < len(out["radii"]):
+            _fail(f"{path}.radii", "radii must be pairwise distinct")
         out["samples"] = _number(obj.get("samples", 20000), f"{path}.samples", minimum=100, integer=True)
         integrand = obj.get("integrand", "norm2")
         if integrand not in ("norm2", "one"):
@@ -482,10 +486,14 @@ def run(
     seed_override: Optional[int] = None,
     reproducible: bool = False,
 ) -> tuple[int, dict]:
-    """Execute the configured job; returns (exit_code, report)."""
+    """Execute the configured job; returns (exit_code, report).  Raises
+    OSError when the report cannot be written, before the job runs when the
+    report's directory is missing."""
     seed = config.seed if seed_override is None else seed_override
     fmt = out_format or config.output.get("format") or "json"
     path = out_path or config.output.get("path") or f"report.{fmt}"
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     report: dict[str, Any] = {
         "tool": {"name": "dbar-cone", "version": __version__},
         "config": config.to_dict(),

@@ -33,10 +33,6 @@ class ImplicitFunctionFailure(DbarConeError):
     pass
 
 
-class OutsideChartDomain(DbarConeError):
-    pass
-
-
 class NewtonDivergence(DbarConeError):
     pass
 

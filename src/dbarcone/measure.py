@@ -146,7 +146,11 @@ def link_charts(variety: Variety, count: int, rng_seed: int) -> list[Chart]:
 class ConeAtlas:
     """Charts anchored at sampled link points, with parameter boxes sized to
     tile the link; every link point is assigned to the nearest covering
-    chart so strata never double count."""
+    chart so strata never double count.
+
+    Every box has one half-width `delta`, 2.5 times the median distance
+    from a unit anchor to its nearest neighbour, so a surface (m >= 1) needs
+    2 charts; a curve (m = 0) has no slice box and accepts one chart."""
 
     def __init__(self, variety: Variety, n_anchors: int, rng_seed: int):
         self.charts = charts = link_charts(variety, n_anchors, rng_seed)
@@ -155,24 +159,18 @@ class ConeAtlas:
         self.m = self.d - 1
         self.unit_anchors = np.stack([c.anchor / np.linalg.norm(c.anchor) for c in charts])
         if self.m:
-            spacing = []
-            for i in range(len(charts)):
-                dd = np.linalg.norm(self.unit_anchors - self.unit_anchors[i], axis=1)
-                dd[i] = np.inf
-                spacing.append(dd.min())
-            cap = 2.5 * float(np.median(spacing))
-            self.deltas = np.array(
-                [
-                    min(0.9 * c.domain_radius / math.sqrt(2 * self.m), cap)
-                    for c in charts
-                ]
-            )
+            if len(charts) < 2:
+                raise InsufficientSamples(
+                    f"a surface atlas needs 2 charts to size its boxes, got {len(charts)}"
+                )
+            U = self.unit_anchors
+            dd = np.linalg.norm(U[:, None, :] - U[None, :, :], axis=2)
+            np.fill_diagonal(dd, np.inf)
+            self.delta = 2.5 * float(np.median(dd.min(axis=1)))
         else:
-            self.deltas = np.zeros(len(charts))
+            self.delta = 0.0
         # box volume: phases times the real-coordinate box of the slice params
-        self.volumes = np.array(
-            [2.0 * math.pi * (2.0 * delta) ** (2 * self.m) for delta in self.deltas]
-        )
+        self.volume = 2.0 * math.pi * (2.0 * self.delta) ** (2 * self.m)
         # chart data stacked per chart, so that assign can test every point
         # against its own candidate chart in one batch
         A, r = len(charts), variety.ambient_dim - self.d
@@ -209,9 +207,8 @@ class ConeAtlas:
             free = self._free[idx]
             X = np.take_along_axis(Y, free, axis=1)
             diff = X - self._x_anchors[idx]
-            delta = self.deltas[idx][:, None]
             inbox = good & np.all(
-                (np.abs(diff.real) <= delta) & (np.abs(diff.imag) <= delta), axis=1
+                (np.abs(diff.real) <= self.delta) & (np.abs(diff.imag) <= self.delta), axis=1
             )
             np.put_along_axis(start, free, X, axis=1)
         else:
@@ -309,8 +306,8 @@ def _cone_mc(
     for i, chart in enumerate(atlas.charts):
         phi = rng.uniform(0.0, 2.0 * math.pi, per)
         if m:
-            re = rng.uniform(-atlas.deltas[i], atlas.deltas[i], (per, m))
-            im = rng.uniform(-atlas.deltas[i], atlas.deltas[i], (per, m))
+            re = rng.uniform(-atlas.delta, atlas.delta, (per, m))
+            im = rng.uniform(-atlas.delta, atlas.delta, (per, m))
             X = chart.x_anchor[None, :] + re + 1j * im
         else:
             X = np.zeros((per, 0), complex)
@@ -337,8 +334,8 @@ def _cone_mc(
                 okidx = np.flatnonzero(ok)
                 tmp[okidx[assigned]] = vals
                 contrib = tmp
-        est = atlas.volumes[i] * contrib.mean()
-        var = atlas.volumes[i] ** 2 * contrib.var(ddof=1) / per
+        est = atlas.volume * contrib.mean()
+        var = atlas.volume ** 2 * contrib.var(ddof=1) / per
         total += est
         var_total += var
         n_used += per

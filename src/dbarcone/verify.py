@@ -98,14 +98,14 @@ def _chart_box_sample(
 ) -> tuple[complex, np.ndarray]:
     """A point (s, x) of a chart's parameter box: |s| area-uniform in
     [lo_frac, 1] * reach / |anchor| with a uniform phase, and x uniform in
-    the complex box of half-width box_frac * min(domain_radius, 1) around
-    x_anchor."""
+    the complex box of half-width box_frac around x_anchor, where the slice
+    Newton converges on every shipped fixture (a failure there raises
+    NewtonDivergence)."""
     s_hi = reach / float(np.linalg.norm(chart.anchor))
     r = math.sqrt(rng.uniform((lo_frac * s_hi) ** 2, s_hi ** 2))
     s = r * np.exp(2j * math.pi * rng.uniform())
     if chart.slice_dim:
-        box = box_frac * min(chart.domain_radius, 1.0)
-        x = chart.x_anchor + box * (
+        x = chart.x_anchor + box_frac * (
             rng.uniform(-1, 1, chart.slice_dim) + 1j * rng.uniform(-1, 1, chart.slice_dim)
         )
     else:
@@ -379,7 +379,9 @@ def measure_scaling_check(
     """Weighted least-squares slope of log(integral) against log(radius).
 
     integrand "norm2" uses |z|^2 (expected exponent 2d + 2); "one" uses the
-    plain measure (expected 2d)."""
+    plain measure (expected 2d).  The slope needs at least 2 distinct radii."""
+    if len(set(radii)) < 2:
+        raise ValueError(f"need at least 2 distinct radii, got {list(radii)}")
     if integrand == "norm2":
         fn = lambda Z: np.linalg.norm(Z, axis=1) ** 2  # noqa: E731
         expected = 2 * variety.pure_dim + 2

@@ -9,7 +9,6 @@ checked against the general formulas it shortcuts."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -83,37 +82,13 @@ def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:
 def in_box(atlas, j: int, pts: np.ndarray) -> np.ndarray:
     """Whether each unit point's slice coordinates for chart j fall in that
     chart's parameter box."""
-    c, delta = atlas.charts[j], atlas.deltas[j]
+    c, delta = atlas.charts[j], atlas.delta
     s = pts[:, c.pivot] / c.anchor[c.pivot]
     hit = np.zeros(pts.shape[0], dtype=bool)
     for i in np.flatnonzero(np.abs(s) > 1e-12):
         diff = pts[i, list(c.free)] / s[i] - c.x_anchor
         hit[i] = np.all((np.abs(diff.real) <= delta) & (np.abs(diff.imag) <= delta))
     return hit
-
-
-def probe_radius_by_rays(chart) -> float:
-    """Reference for the domain radius of a chart with m >= 1: walk each of
-    the 2m + 4 seeded random rays from x_anchor outwards in steps growing
-    by 1.6, one slice Newton per step, and stop the ray at its first
-    failure; half the smallest failure distance."""
-    probe = dataclasses.replace(chart, domain_radius=math.inf)
-    m = chart.slice_dim
-    rng = np.random.default_rng(0x271828)
-    n_rays = 2 * m + 4
-    dirs = rng.standard_normal((n_rays, m)) + 1j * rng.standard_normal((n_rays, m))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    base = 0.05 * (1.0 + np.linalg.norm(chart.x_anchor))
-    fail_at = []
-    for v in dirs:
-        t = base
-        for _ in range(14):
-            _, ok = probe.slice_batch((chart.x_anchor + t * v).reshape(1, -1))
-            if not ok[0]:
-                break
-            t *= 1.6
-        fail_at.append(t)
-    return 0.5 * float(min(fail_at))
 
 
 def orbit_scale_by_rows(weights, pts: np.ndarray, target: float) -> np.ndarray:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from dbarcone import cli
 from dbarcone.cli import main, parse_config, run
 from dbarcone.errors import ParseError, ValidationError
 
@@ -252,6 +253,35 @@ def test_unwritable_report_path(tmp_path, capsys):
     assert err.startswith("error: cannot write report:")
     assert str(out) in err
     assert len(err.splitlines()) == 1
+
+
+def test_missing_report_directory_fails_before_the_job(tmp_path, capsys, monkeypatch):
+    def job_must_not_run(config, seed):
+        raise AssertionError("the job ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "_run_job", job_must_not_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report:") and str(out) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_repeated_radii_rejected(tmp_path, capsys):
+    # one radius twice gives log-log points with no spread to fit a slope to
+    cfg = json.loads(next(p for p in SHIPPED_CONFIGS if p.stem == "scaling_line").read_text())
+    cfg["job"]["radii"] = [0.5, 0.5]
+    with pytest.raises(ValidationError) as exc:
+        parse_config(json.dumps(cfg))
+    assert str(exc.value).startswith("job.radii:")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+    assert "job.radii" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_scaling_job_smoke(tmp_path):

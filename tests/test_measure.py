@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbarcone import measure
-from dbarcone.errors import NotACone, SingularAnchor
+from dbarcone.errors import InsufficientSamples, NotACone, SingularAnchor
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
@@ -206,3 +206,12 @@ def test_atlas_build_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(measure, "build_chart", broken)
     with pytest.raises(RuntimeError, match="bug in chart construction"):
         ConeAtlas(quadric_cone(), 5, 3)
+
+
+def test_one_chart_surface_atlas_rejected():
+    # box size comes from the spacing between anchors, which one chart of a
+    # surface does not have; a curve's atlas has no slice box to size
+    with pytest.raises(InsufficientSamples, match="2 charts"):
+        ConeAtlas(quadric_cone(), 1, 5)
+    atlas = ConeAtlas(line2(), 1, 5)
+    assert len(atlas.charts) == 1 and atlas.delta == 0.0

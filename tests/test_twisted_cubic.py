@@ -12,8 +12,6 @@ from dbarcone.charts import build_chart, slice_newton, slice_tangents
 from dbarcone.measure import sample_link, surface_integral
 from dbarcone.variety import SparsePolynomial, Variety, Weights
 
-from oracles import probe_radius_by_rays
-
 
 def twisted_cubic() -> Variety:
     polys = [
@@ -60,12 +58,3 @@ def test_norm2_surface_integral_matches_exact_value(cubic):
     est = surface_integral(cubic, lambda Z: np.sum(np.abs(Z) ** 2, axis=1), rho, 4000, 3)
     assert est.coverage_gaps == 0 and est.newton_failures == 0
     assert abs(est.value - exact) <= 5 * est.std_error
-
-
-def test_probe_ray_fails_before_step_cap(first_chart):
-    # the first anchor of link seed 1 is a chart whose probe meets a failing
-    # ray, so its domain radius is set by the slice Newton, not the step cap
-    ch = first_chart
-    cap = 0.5 * 0.05 * (1.0 + np.linalg.norm(ch.x_anchor)) * 1.6 ** 14
-    assert ch.domain_radius < 0.2 * cap
-    assert ch.domain_radius == probe_radius_by_rays(ch)

@@ -144,6 +144,11 @@ def test_scaling_exponent_plain_measure():
     assert abs(rep.exponent - 2.0) <= 0.1
 
 
+def test_scaling_needs_two_distinct_radii():
+    with pytest.raises(ValueError, match="distinct radii"):
+        measure_scaling_check(line2(), [0.5, 0.5], 1000, 13)
+
+
 def test_step_too_small_detector(line_form):
     # a solver handle with rough point-dependent noise: halving the step
     # doubles the finite-difference residual and the probe must trip
