@@ -106,9 +106,11 @@ class Chart:
         return slice_newton(self.variety, Y, dep)
 
     def slice_point(self, x) -> np.ndarray:
-        """One slice point y(x); raises NewtonDivergence when the slice
-        Newton does not converge."""
+        """One slice point y(x); raises NewtonDivergence when x is not
+        finite or the slice Newton does not converge."""
         x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+        if not np.all(np.isfinite(x)):
+            raise NewtonDivergence(f"slice coordinates are not finite: x = {x}")
         Y, ok = self.slice_batch(x.reshape(1, -1))
         if not ok[0]:
             raise NewtonDivergence(f"slice Newton failed at x = {x}")

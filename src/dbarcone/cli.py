@@ -391,8 +391,7 @@ def _run_job(config: RunConfig, seed: int):
                 for j, rx in enumerate(smp.residual_x):
                     row[f"residual_x{j}"] = rx
                 table.append(row)
-                all_vals.append(smp.residual_s)
-                all_vals.extend(smp.residual_x)
+            all_vals.extend(rep.all_residuals())
         results["operator"] = op
         results["max_residual"] = float(np.max(all_vals))
         results["median_residual"] = float(np.median(all_vals))
@@ -488,12 +487,14 @@ def run(
 ) -> tuple[int, dict]:
     """Execute the configured job; returns (exit_code, report).  Raises
     OSError when the report cannot be written, before the job runs when the
-    report's directory is missing."""
+    report's directory is missing or the report path is a directory."""
     seed = config.seed if seed_override is None else seed_override
     fmt = out_format or config.output.get("format") or "json"
     path = out_path or config.output.get("path") or f"report.{fmt}"
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     report: dict[str, Any] = {
         "tool": {"name": "dbar-cone", "version": __version__},
         "config": config.to_dict(),

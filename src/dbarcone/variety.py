@@ -207,7 +207,7 @@ class Variety:
         return Variety(n, weights, polys, degrees, pure_dim)
 
     def residuals(self, pts) -> np.ndarray:
-        """|Q_k| at one point -> (K,) or batch (N, n) -> (N, K)."""
+        """Q_k (complex) at one point -> (K,) or batch (N, n) -> (N, K)."""
         pts = np.asarray(pts, dtype=np.complex128)
         single = pts.ndim == 1
         P = pts.reshape(-1, self.ambient_dim)

@@ -49,8 +49,6 @@ class ResidualReport:
     anchor: tuple[complex, ...]
     fd_step: float
     samples: tuple[ResidualSample, ...]
-    max_residual: float
-    median_residual: float
 
     def all_residuals(self) -> np.ndarray:
         vals = []
@@ -58,6 +56,14 @@ class ResidualReport:
             vals.append(smp.residual_s)
             vals.extend(smp.residual_x)
         return np.asarray(vals)
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.all_residuals()))
+
+    @property
+    def median_residual(self) -> float:
+        return float(np.median(self.all_residuals()))
 
 
 def _wirtinger_bar(G: Callable[[complex], complex], c: complex, h: float) -> complex:
@@ -150,7 +156,6 @@ def dbar_residual(
             )
 
     samples = []
-    vals: list[float] = []
     for _ in range(n_samples):
         s, x = draw()
         res_s, res_x = _residual_at(chart, form, solver_handle, s, x, fd_step, norm)
@@ -160,14 +165,10 @@ def dbar_residual(
                 residual_x=tuple(res_x),
             )
         )
-        vals.append(res_s)
-        vals.extend(res_x)
     return ResidualReport(
         anchor=tuple(complex(v) for v in chart.anchor),
         fd_step=fd_step,
         samples=tuple(samples),
-        max_residual=float(np.max(vals)),
-        median_residual=float(np.median(vals)),
     )
 
 
@@ -181,7 +182,7 @@ class HolderPair:
     w: tuple[complex, ...]
     kind: str  # line | slice | general
     scale: float  # adversarial shrink factor toward the singularity
-    dist_upper: float  # intrinsic-distance upper bound (projected paths)
+    dist_upper: float  # intrinsic-distance upper bound (projected chord)
     dist_chord: float  # ambient chord, a lower bound on the distance
     delta_g: float
     ratio_upper: float  # delta_g / dist_upper^theta  (conservative)
@@ -209,7 +210,9 @@ def holder_report(
 ) -> HolderReport:
     """Sample same-line, same-slice, and general pairs in Sigma cap B_R
     (plus rescaled copies approaching the singularity), evaluate
-    |g(z) - g(w)|, and report ratios against both distance brackets.
+    |g(z) - g(w)|, and report ratios against both distance brackets: the
+    projected chord of `dist_sigma_path` from above, the ambient chord from
+    below.
     The pairs come from `link_charts`, so a variety that is not a cone
     raises NotACone and a link on which no chart builds raises
     InsufficientSamples, as for `ConeAtlas`.

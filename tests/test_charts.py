@@ -70,10 +70,11 @@ def test_eval_membership_and_regularity(quadric_chart):
 
 
 def test_outside_domain_rejected(quadric_chart):
-    # charts have no radius check: the slice Newton's convergence test is
-    # what rejects an x where y(x) cannot be solved
+    # charts have no radius check: a non-finite x is rejected before any
+    # Newton step, and the slice Newton's convergence test rejects an x
+    # where y(x) cannot be solved
     for bad in (np.nan, np.inf, 1j * np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(NewtonDivergence):
+        with pytest.raises(NewtonDivergence):
             quadric_chart.eval(0.5, quadric_chart.x_anchor + bad)
 
 

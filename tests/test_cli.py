@@ -255,19 +255,30 @@ def test_unwritable_report_path(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_missing_report_directory_fails_before_the_job(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "out_name, existing_dir",
+    [("missing/r.json", False), ("existing", True)],
+    ids=["missing-directory", "existing-directory"],
+)
+def test_missing_report_directory_fails_before_the_job(
+    tmp_path, capsys, monkeypatch, out_name, existing_dir
+):
     def job_must_not_run(config, seed):
         raise AssertionError("the job ran before the report path was checked")
 
     monkeypatch.setattr(cli, "_run_job", job_must_not_run)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MINIMAL))
-    out = tmp_path / "missing" / "r.json"
+    out = tmp_path / out_name
+    if existing_dir:
+        out.mkdir()
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write report:") and str(out) in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
+    if existing_dir:
+        assert not any(out.iterdir())
 
 
 def test_repeated_radii_rejected(tmp_path, capsys):

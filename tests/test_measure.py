@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbarcone import measure
-from dbarcone.errors import InsufficientSamples, NotACone, SingularAnchor
+from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure, SingularAnchor
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
@@ -13,7 +13,7 @@ from dbarcone.measure import (
     sample_link,
     surface_integral,
 )
-from dbarcone.variety import gradient
+from dbarcone.variety import gradient, project_batch
 
 from oracles import in_box, nearest_covering_chart
 
@@ -158,6 +158,37 @@ def test_dist_to_origin_and_near_singular_flag():
     # antipodal-ish pair on a cone routes near the origin
     path = dist_sigma_path(V, z * 0.5, -z * 0.5)
     assert path.length >= np.linalg.norm(z) * 0.5
+
+
+def _quadric_pair():
+    V = quadric_cone()
+    z, w = sample_link(V, 2, 23).points / np.sqrt(3)
+    return V, z, 0.6 * w
+
+
+def test_dist_projects_the_chord_once(monkeypatch):
+    V, z, w = _quadric_pair()
+    calls = []
+
+    def counting(variety, pts, *args, **kwargs):
+        calls.append(pts.shape[0])
+        return project_batch(variety, pts, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "project_batch", counting)
+    path = dist_sigma_path(V, z, w, 24)
+    assert calls == [25]
+    assert path.length >= np.linalg.norm(z - w)
+
+
+def test_dist_projection_failure_raises(monkeypatch):
+    V, z, w = _quadric_pair()
+
+    def failing(variety, pts, *args, **kwargs):
+        return pts.copy(), np.zeros(pts.shape[0], dtype=bool)
+
+    monkeypatch.setattr(measure, "project_batch", failing)
+    with pytest.raises(ProjectionFailure):
+        dist_sigma_path(V, z, w)
 
 
 @pytest.mark.parametrize(
