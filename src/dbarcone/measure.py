@@ -231,26 +231,27 @@ class ConeAtlas:
         """Index of the nearest covering chart per unit link point; -1 when
         no chart covers a point (a coverage gap).
 
-        Rank by rank, every still undecided point is tested against its
-        rank-th nearest anchor's chart in one batch (box test and slice
-        Newton), so a point gets the nearest chart that covers it.  Each
-        Newton starts from its chart anchor's branch: started from the
-        point itself it would accept points on another branch of the slice,
-        which another chart also counts."""
-        N = pts.shape[0]
-        A = len(self.charts)
+        Two batches of box tests and slice Newtons: every point against its
+        nearest anchor's chart, then every point still undecided against
+        all its other charts at once, one row per (point, chart) pair.  A
+        point takes its first hit in rank order, so it gets the nearest
+        chart that covers it.  That equals testing one rank at a time,
+        because each row's box test, Newton and branch match depend on that
+        row alone (see `slice_newton`).  Each Newton starts from its chart
+        anchor's branch: started from the point itself it would accept
+        points on another branch of the slice, which another chart also
+        counts."""
         dists = np.linalg.norm(pts[:, None, :] - self.unit_anchors[None, :, :], axis=2)
         order = np.argsort(dists, axis=1)
-        result = np.full(N, -1, dtype=int)
-        undecided = np.ones(N, dtype=bool)
-        for rank in range(A):
-            todo = np.flatnonzero(undecided)
-            if todo.size == 0:
-                break
-            cand = order[todo, rank]
-            hit = self._covered(cand, pts[todo])
-            result[todo[hit]] = cand[hit]
-            undecided[todo[hit]] = False
+        result = np.where(self._covered(order[:, 0], pts), order[:, 0], -1)
+        todo = np.flatnonzero(result < 0)
+        k = order.shape[1] - 1
+        if todo.size and k:
+            cand = order[todo, 1:]  # (T, k), nearest first
+            hit = self._covered(cand.ravel(), np.repeat(pts[todo], k, axis=0)).reshape(-1, k)
+            found = hit.any(axis=1)
+            first = hit.argmax(axis=1)
+            result[todo[found]] = cand[found, first[found]]
         return result
 
 

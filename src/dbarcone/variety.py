@@ -211,7 +211,9 @@ class Variety:
         pts = np.asarray(pts, dtype=np.complex128)
         single = pts.ndim == 1
         P = pts.reshape(-1, self.ambient_dim)
-        vals = np.stack([q.eval(P) for q in self.polynomials], axis=1)
+        vals = np.empty((P.shape[0], len(self.polynomials)), dtype=np.complex128)
+        for k, q in enumerate(self.polynomials):
+            vals[:, k] = q.eval(P)
         return vals[0] if single else vals
 
     def jacobian(self, pts) -> np.ndarray:
@@ -219,11 +221,10 @@ class Variety:
         pts = np.asarray(pts, dtype=np.complex128)
         single = pts.ndim == 1
         P = pts.reshape(-1, self.ambient_dim)
-        rows = []
-        for q in self.polynomials:
-            grads = gradient(q)
-            rows.append(np.stack([g.eval(P) for g in grads], axis=1))  # (N, n)
-        J = np.stack(rows, axis=1)  # (N, K, n)
+        J = np.empty((P.shape[0], len(self.polynomials), self.ambient_dim), dtype=np.complex128)
+        for k, q in enumerate(self.polynomials):
+            for j, g in enumerate(gradient(q)):
+                J[:, k, j] = g.eval(P)
         return J[0] if single else J
 
 
@@ -357,6 +358,9 @@ def damped_newton(
     # residuals are kept from the line search of the rows a step moved
     res = variety.residuals(Y)  # (N, K)
     scale = _membership_scales(variety, Y)
+    # row and polynomial indices that gather and scatter each row's columns
+    row_idx = np.arange(N)[:, None]
+    poly_idx = np.arange(res.shape[1])[None, :, None]
     for _ in range(max_iter):
         ok = np.all(np.abs(res) <= tol * scale, axis=1)
         rows = np.flatnonzero(~ok & ~stuck)
@@ -364,13 +368,14 @@ def damped_newton(
             break
         Ya = Y[rows]
         ca = cols[rows]
-        J = np.take_along_axis(variety.jacobian(Ya), ca[:, None, :], axis=2)  # (M, K, r)
+        ri = row_idx[: rows.size]
+        J = variety.jacobian(Ya)[ri[:, :, None], poly_idx, ca[:, None, :]]  # (M, K, r)
         R = res[rows]
         step, singular = newton_steps(J, R[:, :, None])
         step = step[:, :, 0]
         stuck[rows[singular]] = True
         step[~np.isfinite(step).all(axis=1)] = 0.0
-        cur = np.take_along_axis(Ya, ca, axis=1)
+        cur = Ya[ri, ca]
         base = np.sum(np.abs(R) ** 2, axis=1)
         alpha = np.ones(step.shape[0])
         trial = cur + step
@@ -380,7 +385,7 @@ def damped_newton(
         todo = np.arange(step.shape[0])
         for _ in range(halvings):
             Yt = Ya[todo]
-            np.put_along_axis(Yt, ca[todo], trial[todo], axis=1)
+            Yt[ri[: todo.size], ca[todo]] = trial[todo]
             rt = variety.residuals(Yt)
             res_t[todo] = rt
             worse = np.sum(np.abs(rt) ** 2, axis=1) > base[todo] * (1 + 1e-12)
@@ -389,7 +394,7 @@ def damped_newton(
                 break
             alpha[todo] *= 0.5
             trial[todo] = cur[todo] + alpha[todo, None] * step[todo]
-        np.put_along_axis(Ya, ca, trial, axis=1)
+        Ya[ri, ca] = trial
         if todo.size:  # halved once more after their last evaluation
             res_t[todo] = variety.residuals(Ya[todo])
         Y[rows] = Ya

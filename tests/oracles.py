@@ -15,6 +15,7 @@ import numpy as np
 
 from dbarcone.quadrature import PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult, truncation_radius
+from dbarcone.variety import gradient
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -89,6 +90,28 @@ def in_box(atlas, j: int, pts: np.ndarray) -> np.ndarray:
         diff = pts[i, list(c.free)] / s[i] - c.x_anchor
         hit[i] = np.all((np.abs(diff.real) <= delta) & (np.abs(diff.imag) <= delta))
     return hit
+
+
+def residuals_by_polynomials(variety, pts) -> np.ndarray:
+    """Reference for Variety.residuals: one eval per polynomial, joined by
+    np.stack; (K,) at one point, (N, K) on a batch."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    P = pts.reshape(-1, variety.ambient_dim)
+    vals = np.stack([q.eval(P) for q in variety.polynomials], axis=1)
+    return vals[0] if pts.ndim == 1 else vals
+
+
+def jacobian_by_polynomials(variety, pts) -> np.ndarray:
+    """Reference for Variety.jacobian: one eval per gradient entry, joined
+    by np.stack per polynomial and then across polynomials; (K, n) at one
+    point, (N, K, n) on a batch."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    P = pts.reshape(-1, variety.ambient_dim)
+    J = np.stack(
+        [np.stack([g.eval(P) for g in gradient(q)], axis=1) for q in variety.polynomials],
+        axis=1,
+    )
+    return J[0] if pts.ndim == 1 else J
 
 
 def orbit_scale_by_rows(weights, pts: np.ndarray, target: float) -> np.ndarray:

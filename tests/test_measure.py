@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbarcone import measure
+from dbarcone.charts import slice_newton
 from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure, SingularAnchor
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
@@ -213,6 +214,59 @@ def test_assign_matches_nearest_covering_loop(make, n_anchors):
         assert (ref[:100] < 0).any()
     if atlas.m:
         assert not all(in_box(atlas, j, unit).all() for j in range(len(atlas.charts)))
+
+
+@pytest.mark.parametrize(
+    "make, n_anchors", [(quadric_cone, 24), (quadric_cone, 4), (cone6, 24), (cone6, 3)]
+)
+def test_assign_runs_at_most_two_newton_batches(make, n_anchors, monkeypatch):
+    # the points of test_assign_matches_nearest_covering_loop: one batch
+    # against the nearest chart, one against all remaining charts
+    V = make()
+    atlas = ConeAtlas(V, n_anchors, 41)
+    rng = np.random.default_rng(98)
+    off = rng.standard_normal((20, V.ambient_dim)) + 1j * rng.standard_normal((20, V.ambient_dim))
+    pts = np.concatenate([sample_link(V, 100, 97).points, off])
+    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+    calls = []
+
+    def counted(variety, Y0, dep):
+        calls.append(Y0.shape[0])
+        return slice_newton(variety, Y0, dep)
+
+    monkeypatch.setattr(measure, "slice_newton", counted)
+    atlas.assign(unit)
+    assert 1 <= len(calls) <= 2
+
+
+def test_assign_one_chart_curve_atlas():
+    # a curve atlas may hold one chart; then no point has a second rank
+    V = line2()
+    atlas = ConeAtlas(V, 1, 5)
+    assert len(atlas.charts) == 1
+    link = sample_link(V, 50, 6).points
+    rng = np.random.default_rng(7)
+    off = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    pts = np.concatenate([link, off])
+    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+    got = atlas.assign(unit)
+    assert np.array_equal(got, nearest_covering_chart(atlas, unit))
+    assert (got[:50] == 0).all() and (got[50:] == -1).all()
+
+
+def test_estimate_does_not_depend_on_assign_batching(monkeypatch):
+    # chart box samples and the coverage pilot, assigned in two batches and
+    # one point and chart at a time, give the same estimate
+    V = quadric_cone()
+    atlas = ConeAtlas(V, 24, 11)
+
+    def run():
+        return surface_integral(V, lambda Z: np.sum(np.abs(Z) ** 2, axis=1), 0.8, 400, 123,
+                                atlas=atlas)
+
+    est = run()
+    monkeypatch.setattr(ConeAtlas, "assign", nearest_covering_chart)
+    assert run() == est
 
 
 def test_atlas_skips_failed_charts(monkeypatch):

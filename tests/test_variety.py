@@ -21,11 +21,14 @@ from dbarcone.variety import (
 )
 
 from oracles import (
+    jacobian_by_polynomials,
     orbit_scale_by_rows,
     poly_eval_broadcast,
     project_whole_batch,
     regular_by_points,
+    residuals_by_polynomials,
 )
+from test_twisted_cubic import twisted_cubic
 
 
 def test_weighted_degree_examples():
@@ -319,3 +322,18 @@ def test_eval_matches_broadcast_formula_bit_for_bit():
         # the broadcast formula's last bits follow the memory layout of the
         # batch; the term-by-term value does not
         assert _same_bits(q.eval(np.asfortranarray(P)), q.eval(P)), q
+
+
+@pytest.mark.parametrize(
+    "make", list(VARIETY_FIXTURES.values()) + [twisted_cubic],
+    ids=list(VARIETY_FIXTURES) + ["twisted-cubic"],
+)
+def test_residuals_and_jacobian_match_stacked_evals_bit_for_bit(make):
+    V = make()
+    rng = np.random.default_rng(32)
+    P = rng.standard_normal((97, V.ambient_dim)) + 1j * rng.standard_normal((97, V.ambient_dim))
+    for pts in (P, P[:1], P[0]):
+        for got, ref in ((V.residuals(pts), residuals_by_polynomials(V, pts)),
+                         (V.jacobian(pts), jacobian_by_polynomials(V, pts))):
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref) and _same_bits(got, ref)
