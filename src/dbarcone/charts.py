@@ -19,7 +19,6 @@ counts as `newton_failures`) or fails `ConeAtlas.assign`'s branch match.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import scipy.linalg
 from .errors import (
     ImplicitFunctionFailure,
     NewtonDivergence,
-    NotInChart,
     PivotTooSmall,
     SingularAnchor,
 )
@@ -52,25 +50,34 @@ def slice_newton(
 
 def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
     """Ambient derivatives dy/dx at a batch of slice points: (M, n) ->
-    (M, n, m) for the free coordinates `free` and the solved ones `dep`.
+    (M, n, m) for the free coordinates `free` and the solved ones `dep`,
+    either one chart's (m,) and (r,) indices or per-row (M, m) and (M, r)
+    ones, so that rows may belong to different charts.
 
     The pivot row is zero, free rows are unit vectors, and the dependent
     rows solve the linearized constraints J_dep D = -J_free, in the least
     squares sense of `newton_steps` when there are more constraints than
-    dependent coordinates.
+    dependent coordinates.  Each row's blocks depend on that row alone.
     """
-    free, dep = list(free), list(dep)
     M, n = Y.shape
-    m = len(free)
+    free = np.asarray(free, dtype=np.intp)
+    dep = np.asarray(dep, dtype=np.intp)
+    m = free.shape[-1]
     out = np.zeros((M, n, m), dtype=np.complex128)
     if m == 0:
         return out
+    free = np.broadcast_to(free, (M, m))
+    dep = np.broadcast_to(dep, (M, dep.shape[-1]))
     J = variety.jacobian(Y)  # (M, K, n)
-    D, singular = newton_steps(J[:, :, dep], J[:, :, free])  # (M, r, m)
+    D, singular = newton_steps(
+        np.take_along_axis(J, dep[:, None, :], axis=2),
+        np.take_along_axis(J, free[:, None, :], axis=2),
+    )  # (M, r, m)
     if singular.any():
         raise ImplicitFunctionFailure("singular dependent Jacobian at a slice point")
-    out[:, free, np.arange(m)] = 1.0
-    out[:, dep, :] = D
+    rows = np.arange(M)[:, None]
+    out[rows, free, np.arange(m)] = 1.0
+    out[rows, dep, :] = D
     return out
 
 
@@ -122,40 +129,6 @@ class Chart:
         """Pi(s, x) = s^beta * y(x); Pi(0, x) = 0."""
         y = self.slice_point(x)
         return act(complex(s), self.variety.weights, y)
-
-    # -- inversion -------------------------------------------------------
-
-    def invert(self, z) -> tuple[complex, np.ndarray]:
-        """Local inverse of Pi for z != 0 in the chart image.
-
-        For unit weights s = z_pivot / anchor_pivot exactly; general weights
-        try all beta_pivot-th roots and keep the one whose solved slice point
-        matches to 1e-8, nearest the anchor's slice coordinates.
-        """
-        z = np.asarray(z, dtype=np.complex128)
-        zp = z[self.pivot]
-        if zp == 0:
-            raise NotInChart("pivot coordinate vanishes")
-        beta = self.variety.weights.as_array()
-        bp = int(beta[self.pivot])
-        ratio = zp / self.anchor[self.pivot]
-        s0 = ratio ** (1.0 / bp)
-        candidates = [s0 * np.exp(2j * math.pi * k / bp) for k in range(bp)]
-        best = None
-        for s in candidates:
-            y = z * s ** (-beta.astype(np.float64))
-            x = y[list(self.free)] if self.slice_dim else np.zeros(0, complex)
-            try:
-                y_solved = self.slice_point(x)
-            except NewtonDivergence:
-                continue
-            if np.linalg.norm(y_solved - y) <= 1e-8 * (1.0 + np.linalg.norm(y)):
-                dist = np.linalg.norm(x - self.x_anchor) if self.slice_dim else 0.0
-                if best is None or dist < best[0]:
-                    best = (dist, complex(s), x)
-        if best is None:
-            raise NotInChart(f"point {z} is not in the image of this chart")
-        return best[1], best[2]
 
     # -- form pullback ---------------------------------------------------
 

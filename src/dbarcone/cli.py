@@ -431,6 +431,8 @@ def _run_job(config: RunConfig, seed: int):
                 "ratio": None if math.isnan(rep.ratio) else rep.ratio,
                 "ratio_std_error": None if math.isnan(rep.ratio_std_error) else rep.ratio_std_error,
                 "degenerate": rep.degenerate,
+                "newton_failures": rep.newton_failures,
+                "coverage_gaps": rep.coverage_gaps,
             }
         )
         table.append({k: v for k, v in results.items() if v is not None})
@@ -441,7 +443,8 @@ def _run_job(config: RunConfig, seed: int):
         )
         for row in rep.rows:
             table.append(
-                {"radius": row.radius, "value": row.value, "std_error": row.std_error}
+                {"radius": row.radius, "value": row.value, "std_error": row.std_error,
+                 "newton_failures": row.newton_failures, "coverage_gaps": row.coverage_gaps}
             )
         results["integrand"] = rep.integrand
         results["exponent"] = rep.exponent

@@ -37,10 +37,6 @@ class NewtonDivergence(DbarConeError):
     pass
 
 
-class NotInChart(DbarConeError):
-    pass
-
-
 class NotACone(DbarConeError):
     """Operation requires unit weights (beta = (1,...,1))."""
 

@@ -13,6 +13,12 @@ cone density r^(2d-1), and resolving chart overlaps by assigning every
 link point to the nearest anchor whose chart covers it (so each point is
 counted exactly once).
 
+Every chart draws its samples from its own random stream, so they depend
+on no other chart.  One estimate then runs one slice Newton and one
+`ConeAtlas.assign` over the samples of all charts together (in blocks of
+`_BLOCK` rows, which bounds memory), and one tangent, Gram and integrand
+evaluation over the rows each chart keeps.
+
 The distance upper bound is the length of the projected chord: the ambient
 segment between two points, projected node by node onto the variety."""
 
@@ -146,6 +152,10 @@ def link_charts(variety: Variety, count: int, rng_seed: int) -> list[Chart]:
 # ---------------------------------------------------------------------------
 # stratified cone Monte Carlo
 
+# rows per slice-Newton and `assign` batch of the cone Monte Carlo: bounds
+# its memory at large sample counts; a row's result does not depend on it
+_BLOCK = 4096
+
 
 class ConeAtlas:
     """Charts anchored at sampled link points, with parameter boxes sized to
@@ -231,27 +241,33 @@ class ConeAtlas:
         """Index of the nearest covering chart per unit link point; -1 when
         no chart covers a point (a coverage gap).
 
-        Two batches of box tests and slice Newtons: every point against its
+        Two rounds of box tests and slice Newtons: every point against its
         nearest anchor's chart, then every point still undecided against
-        all its other charts at once, one row per (point, chart) pair.  A
-        point takes its first hit in rank order, so it gets the nearest
-        chart that covers it.  That equals testing one rank at a time,
-        because each row's box test, Newton and branch match depend on that
-        row alone (see `slice_newton`).  Each Newton starts from its chart
-        anchor's branch: started from the point itself it would accept
-        points on another branch of the slice, which another chart also
-        counts."""
-        dists = np.linalg.norm(pts[:, None, :] - self.unit_anchors[None, :, :], axis=2)
+        all its other charts at once, one row per (point, chart) pair, in
+        batches of at most `_BLOCK` rows (one batch for up to
+        `_BLOCK // (A - 1)` undecided points).  A point takes its first hit
+        in rank order, so it gets the nearest chart that covers it.  That
+        equals testing one rank at a time, because each row's box test,
+        Newton and branch match depend on that row alone (see
+        `slice_newton`).  Each Newton starts from its chart anchor's branch:
+        started from the point itself it would accept points on another
+        branch of the slice, which another chart also counts."""
+        dists = np.empty((pts.shape[0], len(self.charts)))
+        for a, anchor in enumerate(self.unit_anchors):  # no (N, A, n) temporary
+            dists[:, a] = np.linalg.norm(pts - anchor, axis=1)
         order = np.argsort(dists, axis=1)
         result = np.where(self._covered(order[:, 0], pts), order[:, 0], -1)
-        todo = np.flatnonzero(result < 0)
         k = order.shape[1] - 1
-        if todo.size and k:
-            cand = order[todo, 1:]  # (T, k), nearest first
-            hit = self._covered(cand.ravel(), np.repeat(pts[todo], k, axis=0)).reshape(-1, k)
+        if k == 0:
+            return result
+        todo = np.flatnonzero(result < 0)
+        step = max(1, _BLOCK // k)  # points per batch of at most _BLOCK rows
+        for lo in range(0, todo.size, step):
+            pick = todo[lo:lo + step]
+            cand = order[pick, 1:]  # nearest first
+            hit = self._covered(cand.ravel(), np.repeat(pts[pick], k, axis=0)).reshape(-1, k)
             found = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            result[todo[found]] = cand[found, first[found]]
+            result[pick[found]] = cand[found, hit.argmax(axis=1)[found]]
         return result
 
 
@@ -296,54 +312,66 @@ def _cone_mc(
 ) -> SurfaceEstimate:
     """Shared stratified estimator; integrand is point_fn(Z) or, when `form`
     is given, the squared induced norm of the form.  Without an atlas it
-    builds one on 24 anchors."""
+    builds one on 24 anchors.
+
+    Chart i draws its phases, box samples and radii from its own stream
+    `default_rng((rng_seed, 0xA7145, i))`, so its samples depend on no
+    other chart.  All charts' box samples then go through one slice Newton
+    and one `assign` (in blocks of `_BLOCK` rows), and each chart keeps the
+    rows assigned to it.  Tangents, Gram factors and the integrand run once
+    over the kept rows.  Each row depends on that row alone and the
+    per-chart sums are added in chart order, so the estimate equals a loop
+    over the charts on the same streams bit for bit."""
     if atlas is None:
         atlas = ConeAtlas(variety, 24, rng_seed)
-    rng = np.random.default_rng((rng_seed, 0xA7145))
     d = atlas.d
     m = atlas.m
     A = len(atlas.charts)
     per = max(16, n_samples // A)
-    total = 0.0
-    var_total = 0.0
-    newton_failures = 0
-    n_used = 0
-    for i, chart in enumerate(atlas.charts):
-        phi = rng.uniform(0.0, 2.0 * math.pi, per)
+    N = A * per
+    rngs = [np.random.default_rng((rng_seed, 0xA7145, i)) for i in range(A)]
+    # row j belongs to chart owner[j] and starts from that chart's anchor
+    owner = np.repeat(np.arange(A), per)
+    phi = np.empty(N)
+    Y0 = atlas._anchors[owner]
+    for i, rng in enumerate(rngs):
+        own = slice(i * per, (i + 1) * per)
+        phi[own] = rng.uniform(0.0, 2.0 * math.pi, per)
         if m:
             re = rng.uniform(-atlas.delta, atlas.delta, (per, m))
             im = rng.uniform(-atlas.delta, atlas.delta, (per, m))
-            X = chart.x_anchor[None, :] + re + 1j * im
+            Y0[own, atlas._free[i]] = atlas._x_anchors[i] + re + 1j * im
+    newton_failures = 0
+    kept, Y_kept, P_kept = [], [], []
+    for start in range(0, N, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, N))
+        Y, ok = slice_newton(variety, Y0[rows], atlas._dep[owner[rows]])
+        newton_failures += int(rows.size - ok.sum())
+        rows, Y = rows[ok], Y[ok]
+        P = np.exp(1j * phi[rows])[:, None] * Y / np.linalg.norm(Y, axis=1)[:, None]
+        hit = atlas.assign(P) == owner[rows]
+        kept.append(rows[hit])
+        Y_kept.append(Y[hit])
+        P_kept.append(P[hit])
+    rows = np.concatenate(kept)
+    vals = np.zeros(N)
+    if rows.size:
+        Ya = np.concatenate(Y_kept)
+        Yp = slice_tangents(variety, Ya, atlas._free[owner[rows]], atlas._dep[owner[rows]])
+        sqrtG = _link_gram(Ya, Yp)
+        counts = np.bincount(owner[rows], minlength=A)
+        u = np.concatenate([rng.uniform(0.0, 1.0, c) for rng, c in zip(rngs, counts)])
+        Z = (rho * u ** (1.0 / (2 * d)))[:, None] * np.concatenate(P_kept)
+        if form is not None:
+            fv = _form_norm_sq(Ya, Yp, Z, form)
         else:
-            X = np.zeros((per, 0), complex)
-        Y, ok = chart.slice_batch(X)
-        newton_failures += int(per - ok.sum())
-        contrib = np.zeros(per)
-        if ok.any():
-            Yk = Y[ok]
-            nrm = np.linalg.norm(Yk, axis=1)
-            P = np.exp(1j * phi[ok])[:, None] * Yk / nrm[:, None]
-            assigned = atlas.assign(P) == i
-            if assigned.any():
-                Ya = Yk[assigned]
-                Yp = slice_tangents(variety, Ya, chart.free, chart.dep)
-                sqrtG = _link_gram(Ya, Yp)
-                r = rho * rng.uniform(0.0, 1.0, int(assigned.sum())) ** (1.0 / (2 * d))
-                Z = r[:, None] * P[assigned]
-                if form is not None:
-                    fv = _form_norm_sq(Ya, Yp, Z, form)
-                else:
-                    fv = np.asarray(point_fn(Z), dtype=np.float64)
-                vals = sqrtG * fv * (rho ** (2 * d)) / (2 * d)
-                tmp = np.zeros(per)
-                okidx = np.flatnonzero(ok)
-                tmp[okidx[assigned]] = vals
-                contrib = tmp
-        est = atlas.volume * contrib.mean()
-        var = atlas.volume ** 2 * contrib.var(ddof=1) / per
-        total += est
-        var_total += var
-        n_used += per
+            fv = np.asarray(point_fn(Z), dtype=np.float64)
+        vals[rows] = sqrtG * fv * (rho ** (2 * d)) / (2 * d)
+    total = 0.0
+    var_total = 0.0
+    for contrib in vals.reshape(A, per):
+        total += atlas.volume * contrib.mean()
+        var_total += atlas.volume ** 2 * contrib.var(ddof=1) / per
     # coverage diagnostic: independently sampled link points must all be
     # covered by some chart box
     pilot = sample_link(variety, min(256, max(32, n_samples // 10)), (rng_seed ^ 0x9E3779B9) & 0x7FFFFFFF)
@@ -352,7 +380,7 @@ def _cone_mc(
     return SurfaceEstimate(
         value=float(total),
         std_error=float(math.sqrt(var_total)),
-        n_samples=n_used,
+        n_samples=N,
         newton_failures=newton_failures,
         coverage_gaps=gaps,
     )

@@ -301,6 +301,10 @@ class L2Report:
     ratio_std_error: float
     degenerate: bool
     n_samples: int
+    # summed over the two estimates: box samples whose slice Newton failed,
+    # and coverage-pilot link points that no chart covers
+    newton_failures: int
+    coverage_gaps: int
 
 
 def l2_report(
@@ -348,6 +352,8 @@ def l2_report(
         ratio_std_error=ratio_err,
         degenerate=degenerate,
         n_samples=n_samples,
+        newton_failures=g_est.newton_failures + l_est.newton_failures,
+        coverage_gaps=g_est.coverage_gaps + l_est.coverage_gaps,
     )
 
 
@@ -360,6 +366,8 @@ class ScalingRow:
     radius: float
     value: float
     std_error: float
+    newton_failures: int
+    coverage_gaps: int
 
 
 @dataclass(frozen=True)
@@ -399,7 +407,8 @@ def measure_scaling_check(
         est = surface_integral(
             variety, fn, rho, n_samples, (rng_seed + 17 * i) & 0x7FFFFFFF, atlas=atlas
         )
-        rows.append(ScalingRow(radius=float(rho), value=est.value, std_error=est.std_error))
+        rows.append(ScalingRow(float(rho), est.value, est.std_error,
+                               est.newton_failures, est.coverage_gaps))
     x = np.log([r.radius for r in rows])
     y = np.log([r.value for r in rows])
     sig = np.array([r.std_error / r.value for r in rows])

@@ -3,9 +3,9 @@
 These deliberately avoid the package's adaptive quadrature: planar
 transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
-chart map, the batched chart and variety code is checked against
-one-point, one-chart and one-row loops, and the lean integrand path is
-checked against the general formulas it shortcuts."""
+chart map, the batched chart, variety and cone Monte Carlo code is
+checked against one-point, one-chart and one-row loops, and the lean
+integrand path is checked against the general formulas it shortcuts."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from dbarcone import measure
+from dbarcone.charts import slice_tangents
 from dbarcone.quadrature import PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult, truncation_radius
 from dbarcone.variety import gradient
@@ -25,12 +27,19 @@ def disk_cauchy_mean(z: complex, W: float) -> complex:
     return -np.pi * W ** 2 / z
 
 
+# the last grid of f values, keyed by (f, W, N): one slot, because an
+# N = 2000 grid holds 64 MB
+_GRID_VALUES: list = [None]
+
+
 def grid_cauchy_transform(f, support_radius: float, z: complex, N: int = 1200) -> complex:
     """(1/2 pi i) * integral of f(u)/(u - z) du ^ dubar by midpoint grid sum.
 
     The singular part f(z)/(u - z) is integrated analytically over the disk
     and subtracted from the grid integrand, which keeps the sum O(h^2)
-    accurate for Lipschitz f.
+    accurate for Lipschitz f.  f on the grid is evaluated once per
+    (f, W, N) and reused by the next call with the same three, so f must
+    be a pure function.
     """
     W = float(support_radius)
     xs = (np.arange(N) + 0.5) / N * 2 * W - W
@@ -38,7 +47,13 @@ def grid_cauchy_transform(f, support_radius: float, z: complex, N: int = 1200) -
     U = X + 1j * Y
     h2 = (2 * W / N) ** 2
     inside = np.abs(U) <= W
-    fu = np.asarray(f(U.ravel()), dtype=np.complex128).reshape(U.shape)
+    cached = _GRID_VALUES[0]
+    if cached is not None and cached[0] is f and cached[1:3] == (W, N):
+        fu = cached[3]
+    else:
+        _GRID_VALUES[0] = None  # free the old grid before building the new one
+        fu = np.asarray(f(U.ravel()), dtype=np.complex128).reshape(U.shape)
+        _GRID_VALUES[0] = (f, W, N, fu)
     fz = complex(np.asarray(f(np.array([z])), dtype=np.complex128)[0]) if abs(z) < W else 0.0
     D = U - z
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -78,6 +93,60 @@ def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:
                 out[i] = j
                 break
     return out
+
+
+def cone_mc_by_charts(variety, rho, n_samples, rng_seed, point_fn=None, form=None, atlas=None):
+    """Reference for measure._cone_mc, one chart at a time: chart i draws
+    its phases, box samples and radii from its own stream, solves its box
+    samples with `slice_batch`, assigns them with one `assign` call and
+    keeps the points assigned to it.  Same arguments and result."""
+    if atlas is None:
+        atlas = measure.ConeAtlas(variety, 24, rng_seed)
+    d, m, A = atlas.d, atlas.m, len(atlas.charts)
+    per = max(16, n_samples // A)
+    total = var_total = 0.0
+    newton_failures = 0
+    for i, chart in enumerate(atlas.charts):
+        rng = np.random.default_rng((rng_seed, 0xA7145, i))
+        phi = rng.uniform(0.0, 2.0 * math.pi, per)
+        if m:
+            re = rng.uniform(-atlas.delta, atlas.delta, (per, m))
+            im = rng.uniform(-atlas.delta, atlas.delta, (per, m))
+            X = chart.x_anchor[None, :] + re + 1j * im
+        else:
+            X = np.zeros((per, 0), complex)
+        Y, ok = chart.slice_batch(X)
+        newton_failures += int(per - ok.sum())
+        contrib = np.zeros(per)
+        if ok.any():
+            Yk = Y[ok]
+            nrm = np.linalg.norm(Yk, axis=1)
+            P = np.exp(1j * phi[ok])[:, None] * Yk / nrm[:, None]
+            assigned = atlas.assign(P) == i
+            if assigned.any():
+                Ya = Yk[assigned]
+                Yp = slice_tangents(variety, Ya, chart.free, chart.dep)
+                sqrtG = measure._link_gram(Ya, Yp)
+                r = rho * rng.uniform(0.0, 1.0, int(assigned.sum())) ** (1.0 / (2 * d))
+                Z = r[:, None] * P[assigned]
+                if form is not None:
+                    fv = measure._form_norm_sq(Ya, Yp, Z, form)
+                else:
+                    fv = np.asarray(point_fn(Z), dtype=np.float64)
+                contrib[np.flatnonzero(ok)[assigned]] = sqrtG * fv * (rho ** (2 * d)) / (2 * d)
+        total += atlas.volume * contrib.mean()
+        var_total += atlas.volume ** 2 * contrib.var(ddof=1) / per
+    pilot = measure.sample_link(
+        variety, min(256, max(32, n_samples // 10)), (rng_seed ^ 0x9E3779B9) & 0x7FFFFFFF
+    )
+    unit = pilot.points / np.linalg.norm(pilot.points, axis=1)[:, None]
+    return measure.SurfaceEstimate(
+        value=float(total),
+        std_error=float(math.sqrt(var_total)),
+        n_samples=A * per,
+        newton_failures=newton_failures,
+        coverage_gaps=int(np.sum(atlas.assign(unit) < 0)),
+    )
 
 
 def in_box(atlas, j: int, pts: np.ndarray) -> np.ndarray:

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from dbarcone.charts import Chart, build_chart, slice_newton
+from dbarcone.charts import Chart, build_chart, slice_newton, slice_tangents
 from dbarcone.errors import (
     NewtonDivergence,
-    NotInChart,
     PivotTooSmall,
     SingularAnchor,
 )
 from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
 from dbarcone.measure import sample_link
-from dbarcone.variety import act, contains, is_regular
+from dbarcone.variety import contains, is_regular
 
 from oracles import fd_chart_pullback
 
@@ -76,37 +75,6 @@ def test_outside_domain_rejected(quadric_chart):
     for bad in (np.nan, np.inf, 1j * np.inf):
         with pytest.raises(NewtonDivergence):
             quadric_chart.eval(0.5, quadric_chart.x_anchor + bad)
-
-
-def test_invert_roundtrip(quadric_chart):
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        s = 0.4 + 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        x = quadric_chart.x_anchor + 0.1 * (
-            rng.standard_normal() + 1j * rng.standard_normal()
-        )
-        z = quadric_chart.eval(s, x)
-        s2, x2 = quadric_chart.invert(z)
-        assert abs(s2 - s) + np.linalg.norm(x2 - x) < 1e-8
-
-
-def test_invert_anchor(quadric_chart):
-    s, x = quadric_chart.invert(quadric_chart.anchor)
-    assert abs(s - 1.0) < 1e-12
-    assert np.linalg.norm(x - quadric_chart.x_anchor) < 1e-12
-
-
-def test_invert_scaled_anchor(quadric_chart):
-    s0 = 0.35 - 0.2j
-    z = act(s0, quadric_chart.variety.weights, quadric_chart.anchor)
-    s, x = quadric_chart.invert(z)
-    assert abs(s - s0) < 1e-10
-    assert np.linalg.norm(x - quadric_chart.x_anchor) < 1e-10
-
-
-def test_invert_rejects_foreign_point(quadric_chart):
-    with pytest.raises(NotInChart):
-        quadric_chart.invert(np.array([1.0, 0.0, 0.0]))  # on the cone, far slice
 
 
 def test_cone_slice_scaling_is_exact(quadric_chart):
@@ -218,6 +186,28 @@ def test_slice_newton_rows_match_across_charts():
     Y, ok = slice_newton(V, np.concatenate(starts), np.concatenate(deps))
     assert ok.all()
     assert np.array_equal(Y, np.concatenate(solo))
+
+
+def test_slice_tangents_rows_match_across_charts():
+    # per-row free/dep over rows of several charts, interleaved, give each
+    # row the tangents of a one-chart call bit for bit
+    V = quadric_cone()
+    charts = [build_chart(V, p) for p in sample_link(V, 6, 19).points]
+    assert len({(ch.free, ch.dep) for ch in charts}) > 1
+    rng = np.random.default_rng(5)
+    owner = rng.permutation(np.repeat(np.arange(len(charts)), 5))
+    Y = np.empty((owner.size, 3), dtype=complex)
+    solo = np.empty((owner.size, 3, 1), dtype=complex)
+    for i, ch in enumerate(charts):
+        rows = np.flatnonzero(owner == i)
+        X = ch.x_anchor + 0.2 * (rng.standard_normal((rows.size, 1))
+                                 + 1j * rng.standard_normal((rows.size, 1)))
+        Y[rows], ok = ch.slice_batch(X)
+        assert ok.all()
+        solo[rows] = slice_tangents(V, Y[rows], ch.free, ch.dep)
+    free = np.array([charts[i].free for i in owner])
+    dep = np.array([charts[i].dep for i in owner])
+    assert np.array_equal(slice_tangents(V, Y, free, dep), solo)
 
 
 def test_build_chart_runs_no_slice_newton(monkeypatch):

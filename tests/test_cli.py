@@ -214,6 +214,8 @@ def test_l2_job_smoke(tmp_path):
     }, "l2")
     assert report["results"]["ratio"] > 0
     assert not report["results"]["degenerate"]
+    assert report["results"]["newton_failures"] == 0
+    assert report["table"][0]["coverage_gaps"] == report["results"]["coverage_gaps"] >= 0
 
 
 def test_l2_job_uses_quadrature_section(tmp_path):
@@ -305,6 +307,8 @@ def test_scaling_job_smoke(tmp_path):
     }, "scaling")
     assert abs(report["results"]["exponent"] - 4.0) < 0.3
     assert len(report["table"]) == 3
+    assert all(row["newton_failures"] == 0 and row["coverage_gaps"] >= 0
+               for row in report["table"])
 
 
 def test_theta_crosscheck_job_smoke(tmp_path):

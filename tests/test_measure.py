@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbarcone import measure
+from dbarcone import charts, measure
 from dbarcone.charts import slice_newton
 from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure, SingularAnchor
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
@@ -16,7 +16,7 @@ from dbarcone.measure import (
 )
 from dbarcone.variety import gradient, project_batch
 
-from oracles import in_box, nearest_covering_chart
+from oracles import cone_mc_by_charts, in_box, nearest_covering_chart
 
 
 def test_sample_link_line():
@@ -300,3 +300,64 @@ def test_one_chart_surface_atlas_rejected():
         ConeAtlas(quadric_cone(), 1, 5)
     atlas = ConeAtlas(line2(), 1, 5)
     assert len(atlas.charts) == 1 and atlas.delta == 0.0
+
+
+def _norm2(Z):
+    return np.sum(np.abs(Z) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("make", [line2, cone6, quadric_cone], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimate_equals_per_chart_loop(make, seed):
+    # one slice Newton and one assign over all charts' rows equal one chart
+    # at a time on the same per-chart streams: value, std_error, counts
+    V = make()
+    got = surface_integral(V, _norm2, 0.8, 1200, seed)
+    assert got == cone_mc_by_charts(V, 0.8, 1200, seed, point_fn=_norm2)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_l2_norm_form_equals_per_chart_loop(seed):
+    V = quadric_cone()
+    form = make_form("bump-dbar", 3, r0=0.3, radius=1.0)
+    got = l2_norm_form(V, form, 1.0, 1200, seed)
+    assert got == measure._square_root(cone_mc_by_charts(V, 1.0, 1200, seed, form=form))
+
+
+def test_estimate_over_several_blocks_equals_per_chart_loop():
+    V = quadric_cone()
+    n = 10_000
+    assert 24 * (n // 24) > measure._BLOCK
+    got = surface_integral(V, _norm2, 0.8, n, 7)
+    assert got == cone_mc_by_charts(V, 0.8, n, 7, point_fn=_norm2)
+
+
+def test_samples_take_one_slice_newton(monkeypatch):
+    # the box samples of all 24 charts go through one slice Newton; assign
+    # runs once for them and once for the coverage pilot
+    V = quadric_cone()
+    calls, assigns = [], []
+    inside_assign = []
+
+    def counted(variety, Y0, dep):
+        if not inside_assign:
+            calls.append(Y0.shape[0])
+        return slice_newton(variety, Y0, dep)
+
+    assign = ConeAtlas.assign
+
+    def counted_assign(self, pts):
+        assigns.append(pts.shape[0])
+        inside_assign.append(True)
+        try:
+            return assign(self, pts)
+        finally:
+            inside_assign.pop()
+
+    monkeypatch.setattr(measure, "slice_newton", counted)
+    monkeypatch.setattr(charts, "slice_newton", counted)
+    monkeypatch.setattr(ConeAtlas, "assign", counted_assign)
+    est = surface_integral(V, _norm2, 0.8, 2500, 8)
+    assert est.n_samples == 2496
+    assert calls == [2496]
+    assert len(assigns) == 2

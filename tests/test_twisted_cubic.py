@@ -12,6 +12,8 @@ from dbarcone.charts import build_chart, slice_newton, slice_tangents
 from dbarcone.measure import sample_link, surface_integral
 from dbarcone.variety import SparsePolynomial, Variety, Weights
 
+from oracles import cone_mc_by_charts
+
 
 def twisted_cubic() -> Variety:
     polys = [
@@ -58,3 +60,11 @@ def test_norm2_surface_integral_matches_exact_value(cubic):
     est = surface_integral(cubic, lambda Z: np.sum(np.abs(Z) ** 2, axis=1), rho, 4000, 3)
     assert est.coverage_gaps == 0 and est.newton_failures == 0
     assert abs(est.value - exact) <= 5 * est.std_error
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimate_equals_per_chart_loop(cubic, seed):
+    # the tall tangent blocks of rows from every chart in one batch
+    f = lambda Z: np.sum(np.abs(Z) ** 2, axis=1)  # noqa: E731
+    est = surface_integral(cubic, f, 0.8, 1200, seed)
+    assert est == cone_mc_by_charts(cubic, 0.8, 1200, seed, point_fn=f)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dbarcone import measure
+from dbarcone import measure, verify
 from dbarcone.errors import InsufficientSamples, NotACone, SingularAnchor
 from dbarcone.fixtures import cusp, line2, make_form, quadric_cone
-from dbarcone.measure import sample_link
+from dbarcone.measure import SurfaceEstimate, sample_link
 from dbarcone.quadrature import QuadratureParams
 from dbarcone.solver import solve, solve_l2
 from dbarcone.verify import (
@@ -163,3 +163,29 @@ def test_step_too_small_detector(line_form):
 
     with pytest.raises(StepTooSmall):
         dbar_residual(L, line_form, noisy, [np.sqrt(2), 0.0], 2, 1e-6, rng_seed=1)
+
+
+def test_l2_report_counts_what_both_estimates_skipped(monkeypatch, cone_form):
+    # newton_failures and coverage_gaps of the g and lambda estimates add up
+    def fake(failures, gaps):
+        def estimate(*args, **kwargs):
+            return SurfaceEstimate(1.0, 0.1, 96, failures, gaps)
+
+        return estimate
+
+    monkeypatch.setattr(verify, "l2_norm_function", fake(2, 3))
+    monkeypatch.setattr(verify, "l2_norm_form", fake(5, 7))
+    rep = l2_report(quadric_cone(), cone_form, 1.0, 96, 10)
+    assert (rep.newton_failures, rep.coverage_gaps) == (7, 10)
+
+
+def test_scaling_rows_count_what_each_estimate_skipped(monkeypatch):
+    counts = iter([(0, 1), (2, 0), (3, 4)])
+
+    def estimate(variety, fn, rho, *args, **kwargs):
+        failures, gaps = next(counts)
+        return SurfaceEstimate(rho ** 4, 0.01 * rho ** 4, 96, failures, gaps)
+
+    monkeypatch.setattr(verify, "surface_integral", estimate)
+    rep = measure_scaling_check(line2(), [0.5, 1.0, 2.0], 96, 12)
+    assert [(r.newton_failures, r.coverage_gaps) for r in rep.rows] == [(0, 1), (2, 0), (3, 4)]
