@@ -92,41 +92,40 @@ class _Sweep:
         c = np.real(np.conj(self.pole) * direction)
         return -c + np.sqrt(c * c + self.W ** 2 - abs(self.pole) ** 2)
 
-    def points(self, u: np.ndarray, theta: np.ndarray):
-        """Map transformed coords to w; returns (w, area_factor).  The
-        direction exp(1j * theta) is computed once and serves both rho and
-        w."""
-        direction = np.exp(1j * theta)
-        span = self.rho(direction) - self.eps
-        r = self.eps + u * span
-        factor = r * span  # dA = r dr dtheta, dr/du = span
-        w = self.pole + r * direction
-        return w, factor
 
-    def eval_integrand(self, K, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        w, factor = self.points(u, theta)
-        vals = np.asarray(K(w), dtype=np.complex128)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned non-finite values")
-        return vals * factor
+def _nodes(sweep: _Sweep, rects: np.ndarray):
+    """The 8 x 8 Gauss nodes of each rect (R, 4) = (u0, u1, th0, th1):
+    returns w and the area factor r * span, both (R, 8, 8) with the radial
+    node on axis 1 and the angular node on axis 2.
 
-
-def _eval_rects(sweep: _Sweep, K, rects: np.ndarray) -> np.ndarray:
-    """Integrate J over each rect (R, 4) = (u0, u1, th0, th1); returns (R,)."""
-    x, wgt = _GAUSS
-    order = len(x)
+    A rect's 64 nodes share 8 angles, so the direction exp(1j * theta) and
+    the span rho(theta) - eps are computed once per angular node and
+    broadcast over the radial nodes.
+    """
+    x = _GAUSS[0]
     u_mid = 0.5 * (rects[:, 0] + rects[:, 1])
     u_half = 0.5 * (rects[:, 1] - rects[:, 0])
     t_mid = 0.5 * (rects[:, 2] + rects[:, 3])
     t_half = 0.5 * (rects[:, 3] - rects[:, 2])
     U = u_mid[:, None, None] + u_half[:, None, None] * x[None, :, None]
-    TH = t_mid[:, None, None] + t_half[:, None, None] * x[None, None, :]
+    direction = np.exp(1j * (t_mid[:, None] + t_half[:, None] * x))[:, None, :]
+    span = sweep.rho(direction) - sweep.eps
+    r = sweep.eps + U * span
+    w = sweep.pole + r * direction
+    return w, r * span  # dA = r dr dtheta, dr/du = span
+
+
+def _eval_rects(sweep: _Sweep, K, rects: np.ndarray) -> np.ndarray:
+    """Integrate J = K * area factor over each rect (R, 4) with the 8 x 8
+    Gauss rule; returns (R,).  K gets the nodes as one 1-d array."""
+    wgt = _GAUSS[1]
+    w, factor = _nodes(sweep, rects)
+    vals = np.asarray(K(w.reshape(-1)), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned non-finite values")
+    J = vals.reshape(factor.shape) * factor
     W2 = wgt[None, :, None] * wgt[None, None, :]
-    scale = (u_half * t_half)[:, None, None]
-    U_b = np.broadcast_to(U, (rects.shape[0], order, order))
-    TH_b = np.broadcast_to(TH, (rects.shape[0], order, order))
-    J = sweep.eval_integrand(K, U_b.reshape(-1), TH_b.reshape(-1))
-    J = J.reshape(rects.shape[0], order, order)
+    scale = (0.25 * (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2]))[:, None, None]
     return np.sum(J * W2 * scale, axis=(1, 2))
 
 

@@ -5,7 +5,8 @@ transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
 chart map, the batched chart, variety and cone Monte Carlo code is
 checked against one-point, one-chart and one-row loops, and the lean
-integrand path is checked against the general formulas it shortcuts."""
+integrand and panel paths are checked against the general formulas they
+shortcut."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from dbarcone import measure
 from dbarcone.charts import slice_tangents
-from dbarcone.quadrature import PlanarIntegrand, integrate_plane
+from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult, truncation_radius
 from dbarcone.variety import gradient
 
@@ -297,3 +298,41 @@ def solve_general_kernel(variety, form, z, params, pole: complex = 1.0 + 0j, m: 
 
     raw, est = integrate_plane(PlanarIntegrand(K, (pole,), W), params)
     return SolveResult(raw / (2j * math.pi), est / (2 * math.pi), W)
+
+
+def rect_points_by_points(sweep, rects: np.ndarray):
+    """Reference for quadrature._nodes, one point at a time: each of the
+    8 x 8 Gauss nodes of each rect (R, 4) = (u0, u1, th0, th1) gets its own
+    direction exp(1j * theta) and boundary distance.  Returns w and the
+    area factor r * span as flat (64 R,) arrays, radial node major within a
+    rect."""
+    x = _GAUSS[0]
+    u_mid = 0.5 * (rects[:, 0] + rects[:, 1])
+    u_half = 0.5 * (rects[:, 1] - rects[:, 0])
+    t_mid = 0.5 * (rects[:, 2] + rects[:, 3])
+    t_half = 0.5 * (rects[:, 3] - rects[:, 2])
+    shape = (rects.shape[0], len(x), len(x))
+    U = np.broadcast_to(u_mid[:, None, None] + u_half[:, None, None] * x[None, :, None], shape)
+    TH = np.broadcast_to(t_mid[:, None, None] + t_half[:, None, None] * x[None, None, :], shape)
+    u, theta = U.reshape(-1), TH.reshape(-1)
+    direction = np.exp(1j * theta)
+    span = sweep.rho(direction) - sweep.eps
+    r = sweep.eps + u * span
+    return sweep.pole + r * direction, r * span
+
+
+def eval_rects_by_points(sweep, K, rects: np.ndarray) -> np.ndarray:
+    """Reference for quadrature._eval_rects: K times the area factor at
+    the per-point nodes of `rect_points_by_points`, times the Gauss weights
+    and the rect's half-widths, summed in complex arithmetic per rect."""
+    wgt = _GAUSS[1]
+    u_half = 0.5 * (rects[:, 1] - rects[:, 0])
+    t_half = 0.5 * (rects[:, 3] - rects[:, 2])
+    w, factor = rect_points_by_points(sweep, rects)
+    vals = np.asarray(K(w), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned non-finite values")
+    J = (vals * factor).reshape(rects.shape[0], len(wgt), len(wgt))
+    W2 = wgt[None, :, None] * wgt[None, None, :]
+    scale = (u_half * t_half)[:, None, None]
+    return np.sum(J * W2 * scale, axis=(1, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbarcone import quadrature
 from dbarcone.errors import NoConvergence
 from dbarcone.quadrature import (
     PlanarIntegrand,
@@ -12,7 +13,7 @@ from dbarcone.quadrature import (
     integrate_plane,
 )
 
-from oracles import grid_cauchy_transform
+from oracles import eval_rects_by_points, grid_cauchy_transform, rect_points_by_points
 
 TIGHT = QuadratureParams(rel_tol=1e-9, abs_tol=1e-12)
 
@@ -193,3 +194,36 @@ def test_grid_oracle_self_check():
     for z in (0.3 + 0.4j, -0.2 + 0.55j):
         v = grid_cauchy_transform(lambda u: np.ones_like(u), 1.0, z, N=900)
         assert abs(v - np.conj(z)) < 2e-7
+
+
+@pytest.mark.parametrize("case", ["pole", "origin", "exclusion"])
+def test_panel_nodes_and_values_match_per_point_oracle(case):
+    # the direction and span computed once per angular node give the same
+    # nodes and area factors as the per-point sweep, and the panel values
+    # agree with the per-point complex sum to rounding
+    a = 0.3 + 0.2j
+    singular = (a,) if case != "origin" else (2.5 + 0j,)
+    eps = 1e-3 if case == "exclusion" else None
+
+    def K(w):
+        return np.exp(-np.abs(w) ** 2) * (1.0 + w * w) / (w - singular[0])
+
+    integrand = PlanarIntegrand(evaluate=K, singular_points=singular, truncation_radius=1.5)
+    sweep = quadrature._sweep(integrand, QuadratureParams(singular_exclusion=eps))
+    assert (sweep.pole == 0) == (case == "origin") and (sweep.eps > 0) == (case == "exclusion")
+    rng = np.random.default_rng(7)
+    u0 = rng.uniform(0.0, 0.9, 200)
+    t0 = rng.uniform(0.0, 6.0, 200)
+    size = 2.0 ** -rng.integers(0, 10, 200)
+    rects = np.concatenate([
+        quadrature._INITIAL_RECTS,
+        np.stack([u0, u0 + 0.1 * size, t0, t0 + 0.28 * size], axis=1),
+    ])
+    w, factor = quadrature._nodes(sweep, rects)
+    w_ref, factor_ref = rect_points_by_points(sweep, rects)
+    assert np.array_equal(w.reshape(-1), w_ref)
+    assert np.array_equal(factor.reshape(-1), factor_ref)
+    got = quadrature._eval_rects(sweep, K, rects)
+    ref = eval_rects_by_points(sweep, K, rects)
+    terms = eval_rects_by_points(sweep, lambda w: np.abs(K(w)), rects).real
+    assert np.all(np.abs(got - ref) <= 1e-14 * terms)

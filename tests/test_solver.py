@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbarcone import quadrature, solver
 from dbarcone.errors import NotACone, NotOnVariety
 from dbarcone.fixtures import cone6, cusp, line2, make_form, make_variety, quadric_cone
 from dbarcone.forms import combine_forms, radial_cutoff, scale_form
@@ -19,7 +22,7 @@ from dbarcone.solver import (
 )
 from dbarcone.variety import Weights, act, project_batch
 
-from oracles import grid_cauchy_transform, solve_general_kernel
+from oracles import eval_rects_by_points, grid_cauchy_transform, solve_general_kernel
 
 PARAMS = QuadratureParams(rel_tol=1e-8, abs_tol=1e-11)
 
@@ -142,6 +145,44 @@ def test_lean_kernel_matches_general_kernel(name):
         assert solve_scaled(V, form, z, pole, PARAMS) == solve_general_kernel(
             V, form, z, PARAMS, pole=pole
         )
+
+
+@pytest.mark.parametrize("name", ["line2", "quadric-cone", "cusp", "cone6"])
+def test_panel_path_matches_per_point_oracle(name, monkeypatch):
+    # the per-angle nodes and the fused weighted reduction refine the same
+    # panels as the per-point sweep and its complex sum, and move g by far
+    # less than the reported quadrature error
+    V = make_variety(name)
+    n = V.ambient_dim
+    form = make_form("bump-dbar", n, h_terms=[((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.5)],
+                     r0=0.3, radius=1.0)
+    points = []
+
+    def counting(integrand, params):
+        K = integrand.evaluate
+
+        def evaluate(w):
+            points.append(w.size)
+            return K(w)
+
+        return quadrature.integrate_plane(dataclasses.replace(integrand, evaluate=evaluate), params)
+
+    def run(op, z):
+        points.clear()
+        return op(V, form, z, PARAMS), sum(points)
+
+    monkeypatch.setattr(solver, "integrate_plane", counting)
+    operators = (solve, solve_l2) if V.weights.is_unit else (solve,)
+    scales = (0.01 * np.exp(0.4j), 0.2 * np.exp(2.1j), 0.8 * np.exp(-1.3j))  # near, mid, far
+    for xi, s in zip(sample_link(V, len(scales), 17).points, scales):
+        z = act(s, V.weights, xi)
+        for op in operators:
+            got, n_got = run(op, z)
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_eval_rects", eval_rects_by_points)
+                ref, n_ref = run(op, z)
+            assert n_got == n_ref > 0, (name, op.__name__, s)
+            assert abs(got.value - ref.value) <= 1e-3 * ref.quadrature_error, (name, op.__name__, s)
 
 
 def test_solve_scaled_consistency(bump3):
