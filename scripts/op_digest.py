@@ -6,9 +6,13 @@ The ops are built by `bench/workloads.py` of this checkout, exactly as the
 benchmark builds them, and each runs once with one BLAS thread.  Each op
 prints `index kind sha256(pickle.dumps(result))` (an op that raises a
 DbarConeError hashes the error's type and message); a last line hashes
-all op lines.
+all op lines.  With `--values` each op line also gives the result's
+headline numbers with `repr`: a SolveResult's value and quadrature_error,
+a SurfaceEstimate's value and std_error, a ResidualReport's max_residual.
+A change that moves last bits then states its largest move from two
+outputs.
 
-Usage: python scripts/op_digest.py --workload W --seed S [--cycles C]
+Usage: python scripts/op_digest.py --workload W --seed S [--cycles C] [--values]
 """
 
 import argparse
@@ -19,6 +23,20 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HEADLINE = {
+    "SolveResult": ("value", "quadrature_error"),
+    "SurfaceEstimate": ("value", "std_error"),
+    "ResidualReport": ("max_residual",),
+}
+
+
+def headline(result) -> str:
+    """`name=repr(number)` for each headline number of an op's result, as a
+    Python complex or float."""
+    fields = ((name, getattr(result, name)) for name in HEADLINE.get(type(result).__name__, ()))
+    return " ".join(
+        f"{name}={complex(v) if isinstance(v, complex) else float(v)!r}" for name, v in fields
+    )
 
 
 def main() -> None:
@@ -26,6 +44,8 @@ def main() -> None:
     ap.add_argument("--workload", required=True, help="solve-grid, fd-stencil or cone-mc")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--cycles", type=int, default=1, help="cycles of ops to build and run")
+    ap.add_argument("--values", action="store_true",
+                    help="also print each result's headline numbers")
     args = ap.parse_args()
 
     # one BLAS/OpenMP thread, set before numpy loads, as in the benchmark
@@ -45,6 +65,9 @@ def main() -> None:
         except DbarConeError as exc:
             result = (type(exc).__name__, str(exc))
         line = f"{i} {op.kind} {hashlib.sha256(pickle.dumps(result)).hexdigest()}"
+        values = headline(result) if args.values else ""
+        if values:
+            line += " " + values
         print(line, flush=True)
         total.update(line.encode() + b"\n")
     print(f"total {len(ops)} ops {total.hexdigest()}")

@@ -7,7 +7,6 @@ from .charts import Chart, build_chart
 from .forms import (
     ZeroOneForm,
     bump_dbar_form,
-    combine_forms,
     raw_bump_form,
     scale_form,
     zero_form,
@@ -81,7 +80,6 @@ __all__ = [
     "build_chart",
     "bump_dbar_form",
     "cauchy_transform",
-    "combine_forms",
     "contains",
     "dbar_residual",
     "dist_sigma_path",

@@ -42,13 +42,20 @@ class ZeroOneForm:
         either way.
         """
         P = np.ascontiguousarray(pts, dtype=np.complex128).reshape(-1, self.n)
-        inside = np.linalg.norm(P, axis=1) < self.support_radius
+        inside = _sq_norm(P) < self.support_radius ** 2
         if inside.size and inside.all():
             return self.field(P)
         out = np.zeros_like(P)
         if inside.any():
             out[inside] = self.field(P[inside])
         return out
+
+
+def _sq_norm(P: np.ndarray) -> np.ndarray:
+    """|z|^2 of each row: the dot product of the row's float64 view with
+    itself."""
+    V = np.ascontiguousarray(P, dtype=np.complex128).view(np.float64)
+    return np.einsum("...i,...i->...", V, V)
 
 
 def _smoothstep(t: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -65,14 +72,12 @@ def _smoothstep_deriv(t: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def radial_cutoff(pts: np.ndarray, r0: float, R: float) -> np.ndarray:
     """Smooth plateau: 1 inside |z| <= r0, 0 outside |z| >= R."""
-    t = np.sum(np.abs(pts) ** 2, axis=-1)
-    return 1.0 - _smoothstep(t, r0 * r0, R * R)
+    return 1.0 - _smoothstep(_sq_norm(pts), r0 * r0, R * R)
 
 
 def radial_cutoff_deriv(pts: np.ndarray, r0: float, R: float) -> np.ndarray:
     """d/dt of the plateau as a function of t = |z|^2."""
-    t = np.sum(np.abs(pts) ** 2, axis=-1)
-    return -_smoothstep_deriv(t, r0 * r0, R * R)
+    return -_smoothstep_deriv(_sq_norm(pts), r0 * r0, R * R)
 
 
 def estimate_sup_bound(field: Field, n: int, radius: float) -> float:
@@ -120,21 +125,6 @@ def raw_bump_form(n: int, r0: float, R: float) -> ZeroOneForm:
         return np.repeat(radial_cutoff(P, r0, R)[:, None], n, axis=1).astype(np.complex128)
 
     return ZeroOneForm(n, field, R, estimate_sup_bound(field, n, R), False)
-
-
-def combine_forms(a: complex, fa: ZeroOneForm, b: complex, fb: ZeroOneForm) -> ZeroOneForm:
-    """a * fa + b * fb, coefficientwise, each term with its own support."""
-    if fa.n != fb.n:
-        raise ValueError("dimension mismatch")
-    R = max(fa.support_radius, fb.support_radius)
-    sup = abs(a) * fa.sup_bound + abs(b) * fb.sup_bound
-    return ZeroOneForm(
-        fa.n,
-        lambda P: a * fa.coeff_matrix(P) + b * fb.coeff_matrix(P),
-        R,
-        sup,
-        fa.dbar_closed and fb.dbar_closed,
-    )
 
 
 def scale_form(c: complex, form: ZeroOneForm) -> ZeroOneForm:

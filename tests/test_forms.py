@@ -3,8 +3,9 @@ import pytest
 
 from dbarcone.fixtures import make_form
 from dbarcone.forms import (
+    ZeroOneForm,
+    _sq_norm,
     bump_dbar_form,
-    combine_forms,
     radial_cutoff,
     raw_bump_form,
     scale_form,
@@ -20,6 +21,40 @@ def test_support_mask_enforced():
     assert np.all(form.coeff_matrix(outside) == 0)
     raw = make_form("raw-bump", 2, r0=0.3, radius=1.0)
     assert np.all(raw.coeff_matrix(outside) == 0)
+
+
+def _row_with_sq_norm(row: np.ndarray, target: float) -> np.ndarray:
+    """`row` with the real part of its first entry stepped one float at a
+    time until the row's |z|^2 is exactly `target`."""
+    row = row.copy()
+    for _ in range(1000):
+        t = _sq_norm(row[None, :])[0]
+        if t == target:
+            return row
+        row[0] = complex(np.nextafter(row[0].real, np.inf if t < target else -np.inf), row[0].imag)
+    raise AssertionError(f"no row with |z|^2 = {target!r}")
+
+
+def test_support_boundary_is_exclusive():
+    # rows with |z|^2 at R^2 and one float either side: rows on or outside
+    # the sphere are zero, rows inside get the field's value, and the
+    # gathered batch gives the same bits as the all-inside batch
+    R = 0.8
+    rng = np.random.default_rng(5)
+    dirs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    dirs[:, 0] = 0.3 + 0.1j  # a small first entry steps |z|^2 by less than one float
+    dirs[:, 1:] *= np.sqrt(R * R - 0.1) / np.linalg.norm(dirs[:, 1:], axis=1)[:, None]
+    targets = [np.nextafter(R * R, 0.0), R * R, np.nextafter(R * R, np.inf)]
+    rows = np.array([_row_with_sq_norm(d, t) for d, t in zip(dirs, targets)])
+    ones = ZeroOneForm(3, np.ones_like, R, 1.0, False)
+    assert np.array_equal(ones.coeff_matrix(rows), [[1.0] * 3, [0.0] * 3, [0.0] * 3])
+    bump = make_form("bump-dbar", 3, h_terms=[((0, 0, 0), 1.0), ((1, 0, 0), 0.5)],
+                     r0=0.3, radius=R)
+    inside = np.concatenate([0.5 * dirs, rows[:1]])
+    mixed = np.concatenate([inside[:2], rows[1:], inside[2:]])
+    vals = bump.coeff_matrix(mixed)
+    assert np.all(vals[2:4] == 0)
+    assert np.array_equal(np.delete(vals, [2, 3], axis=0), bump.coeff_matrix(inside))
 
 
 def test_cutoff_plateau_values():
@@ -77,15 +112,9 @@ def test_zero_form_and_flags():
     assert bump.dbar_closed
 
 
-def test_combine_and_scale():
+def test_scale_form():
     a = make_form("bump-dbar", 2, r0=0.3, radius=1.0)
-    b = make_form("raw-bump", 2, r0=0.2, radius=0.8)
-    c = combine_forms(2.0, a, 1.0j, b)
     pts = np.array([[0.4, 0.1], [0.05, 0.0]])
-    got = c.coeff_matrix(pts)
-    expect = 2.0 * a.coeff_matrix(pts) + 1.0j * b.coeff_matrix(pts)
-    assert np.allclose(got, expect)
-    assert not c.dbar_closed  # raw-bump is not closed
     s = scale_form(3.0, a)
     assert np.allclose(s.coeff_matrix(pts), 3.0 * a.coeff_matrix(pts))
     assert s.sup_bound == 3.0 * a.sup_bound
@@ -108,7 +137,6 @@ def test_builtin_forms_give_complex_coefficients():
         "zero": make_form("zero", 3),
         "bump-dbar": bump,
         "raw-bump": raw,
-        "combine": combine_forms(2.0, bump, -1j, raw),
         "scale": scale_form(0.5j, raw),
         "theta-pullback": theta_pullback_form(bump, Weights((1, 2, 3))),
     }

@@ -1,6 +1,8 @@
 """Every experiment script listed in README's "Experiment scripts" section
-imports the package and parses its options: `--help` exits 0."""
+imports the package and parses its options: `--help` exits 0.
+`scripts/op_digest.py --values` also runs one benchmark cycle."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,22 @@ def test_script_help(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_op_digest_values_on_one_solve_grid_cycle():
+    # --values appends each op's headline numbers as Python literals
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_digest.py"), "--workload", "solve-grid",
+         "--seed", "1", "--values"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith(f"total {len(lines) - 1} ops ")
+    for i, line in enumerate(lines[:-1]):
+        index, kind, digest, value, error = line.split()
+        assert int(index) == i and "/" in kind and len(digest) == 64
+        assert value.startswith("value=") and error.startswith("quadrature_error=")
+        assert isinstance(ast.literal_eval(value[len("value="):]), complex)
+        assert ast.literal_eval(error[len("quadrature_error="):]) >= 0.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dbarcone import quadrature, solver
 from dbarcone.errors import NotACone, NotOnVariety
 from dbarcone.fixtures import cone6, cusp, line2, make_form, make_variety, quadric_cone
-from dbarcone.forms import combine_forms, radial_cutoff, scale_form
+from dbarcone.forms import ZeroOneForm, radial_cutoff, scale_form
 from dbarcone.measure import sample_link
 from dbarcone.quadrature import QuadratureParams
 from dbarcone.solver import (
@@ -298,7 +298,14 @@ def test_theta_transfer_trivials(bump2):
 def test_solver_linearity(bump3):
     V = quadric_cone()
     other = make_form("bump-dbar", 3, h_terms=[((0, 1, 0), 1.0)], r0=0.25, radius=0.9)
-    combo = combine_forms(2.0, bump3, -0.5j, other)
+    # 2 bump3 - 0.5i other; each bump field vanishes outside its own support
+    combo = ZeroOneForm(
+        3,
+        lambda P: 2.0 * bump3.field(P) - 0.5j * other.field(P),
+        bump3.support_radius,
+        2.0 * bump3.sup_bound + 0.5 * other.sup_bound,
+        True,
+    )
     z = np.array([1.0, 1.0, 1.0]) * 0.4
     va = solve(V, bump3, z, PARAMS).value
     vb = solve(V, other, z, PARAMS).value
