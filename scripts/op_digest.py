@@ -12,7 +12,13 @@ a SurfaceEstimate's value and std_error, a ResidualReport's max_residual.
 A change that moves last bits then states its largest move from two
 outputs.
 
+With `--configs` it instead runs every `configs/*.json` with
+`--reproducible` into a temporary directory and prints `name sha256` per
+report and a last line hashing all of them, so "the config reports are
+byte-identical" is one `diff` of two checkouts' outputs.
+
 Usage: python scripts/op_digest.py --workload W --seed S [--cycles C] [--values]
+       python scripts/op_digest.py --configs
 """
 
 import argparse
@@ -20,6 +26,7 @@ import hashlib
 import os
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,19 +46,42 @@ def headline(result) -> str:
     )
 
 
+def digest_configs() -> None:
+    """Run every configs/*.json reproducibly and print one sha256 per report."""
+    from dbarcone.cli import main as cli_main
+
+    total = hashlib.sha256()
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in paths:
+            out = Path(tmp) / f"{path.stem}.report"
+            cli_main(["run", str(path), "--reproducible", "--out", str(out)])
+            line = f"{path.stem} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+            print(line, flush=True)
+            total.update(line.encode() + b"\n")
+    print(f"total {len(paths)} reports {total.hexdigest()}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, help="solve-grid, fd-stencil or cone-mc")
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload", help="solve-grid, fd-stencil or cone-mc")
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--cycles", type=int, default=1, help="cycles of ops to build and run")
     ap.add_argument("--values", action="store_true",
                     help="also print each result's headline numbers")
+    ap.add_argument("--configs", action="store_true",
+                    help="digest the --reproducible report of every configs/*.json instead")
     args = ap.parse_args()
+    if not args.configs and (args.workload is None or args.seed is None):
+        ap.error("--workload and --seed are required without --configs")
 
     # one BLAS/OpenMP thread, set before numpy loads, as in the benchmark
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    if args.configs:
+        digest_configs()
+        return
     import workloads
     from dbarcone.errors import DbarConeError
 

@@ -1,6 +1,7 @@
 """Every experiment script listed in README's "Experiment scripts" section
 imports the package and parses its options: `--help` exits 0.
-`scripts/op_digest.py --values` also runs one benchmark cycle."""
+`scripts/op_digest.py --values` also runs one benchmark cycle, and
+`--configs` hashes the report of every `configs/*.json`."""
 
 import ast
 import os
@@ -46,3 +47,19 @@ def test_op_digest_values_on_one_solve_grid_cycle():
         assert value.startswith("value=") and error.startswith("quadrature_error=")
         assert isinstance(ast.literal_eval(value[len("value="):]), complex)
         assert ast.literal_eval(error[len("quadrature_error="):]) >= 0.0
+
+
+def test_op_digest_configs_hashes_every_config_report():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_digest.py"), "--configs"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert len(names) == 6 and len(lines) == 7
+    for name, line in zip(names, lines):
+        got, digest = line.split()
+        assert got == name and len(digest) == 64
+    assert lines[-1].startswith("total 6 reports ") and len(lines[-1].split()[-1]) == 64
