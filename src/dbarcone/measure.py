@@ -341,6 +341,10 @@ def _cone_mc(
             re = rng.uniform(-atlas.delta, atlas.delta, (per, m))
             im = rng.uniform(-atlas.delta, atlas.delta, (per, m))
             Y0[own, atlas._free[i]] = atlas._x_anchors[i] + re + 1j * im
+    # coverage diagnostic: independently sampled link points must all be
+    # covered by some chart box; they ride in the last block's assign
+    pilot = sample_link(variety, min(256, max(32, n_samples // 10)), (rng_seed ^ 0x9E3779B9) & 0x7FFFFFFF)
+    unit = pilot.points / np.linalg.norm(pilot.points, axis=1)[:, None]
     newton_failures = 0
     kept, Y_kept, P_kept = [], [], []
     for start in range(0, N, _BLOCK):
@@ -349,7 +353,12 @@ def _cone_mc(
         newton_failures += int(rows.size - ok.sum())
         rows, Y = rows[ok], Y[ok]
         P = np.exp(1j * phi[rows])[:, None] * Y / np.linalg.norm(Y, axis=1)[:, None]
-        hit = atlas.assign(P) == owner[rows]
+        if start + _BLOCK < N:
+            hit = atlas.assign(P) == owner[rows]
+        else:
+            labels = atlas.assign(np.concatenate([P, unit]))
+            hit = labels[:rows.size] == owner[rows]
+            gaps = int(np.sum(labels[rows.size:] < 0))
         kept.append(rows[hit])
         Y_kept.append(Y[hit])
         P_kept.append(P[hit])
@@ -372,11 +381,6 @@ def _cone_mc(
     for contrib in vals.reshape(A, per):
         total += atlas.volume * contrib.mean()
         var_total += atlas.volume ** 2 * contrib.var(ddof=1) / per
-    # coverage diagnostic: independently sampled link points must all be
-    # covered by some chart box
-    pilot = sample_link(variety, min(256, max(32, n_samples // 10)), (rng_seed ^ 0x9E3779B9) & 0x7FFFFFFF)
-    unit = pilot.points / np.linalg.norm(pilot.points, axis=1)[:, None]
-    gaps = int(np.sum(atlas.assign(unit) < 0))
     return SurfaceEstimate(
         value=float(total),
         std_error=float(math.sqrt(var_total)),

@@ -12,7 +12,7 @@ orbit scale t with |t^beta z| = target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,41 +83,19 @@ class SparsePolynomial:
         return np.asarray([e for e, _ in self.terms], dtype=np.int64)
 
     @cached_property
-    def _plan(self) -> tuple[tuple, np.ndarray]:
-        """Per term, its (coordinate, exponent) factors with a nonzero
-        exponent; and the coefficient vector (T,)."""
-        factors = tuple(
-            tuple((j, np.int64(e)) for j, e in enumerate(exps) if e) for exps, _ in self.terms
-        )
-        return factors, np.asarray([c for _, c in self.terms], dtype=np.complex128)
+    def _plan(self) -> "MonomialPlan":
+        return MonomialPlan(self.n, (self,))
 
     def eval(self, pts) -> np.ndarray | complex:
         """Evaluate at one point (n,) or a batch (N, n); complex output.
 
-        Term by term: each monomial multiplies only its factors with a
-        nonzero exponent, then `mono @ C` sums the terms.  On a C-contiguous
-        batch the value equals `np.prod(P[:, None, :] ** E[None], axis=2) @ C`
-        bit for bit: z ** 1 and a factor z ** 0 = 1 are exact, an np.int64
-        power takes the same loop as the broadcast power, and two or more
-        factors are multiplied by `np.prod` along a contiguous axis, the same
-        reduction (a binary `x * y` may differ in the last bit).  The value
-        does not depend on the batch's memory layout.
+        One `MonomialPlan` of the terms: on a C-contiguous batch the value
+        equals `np.prod(P[:, None, :] ** E[None], axis=2) @ C` bit for bit,
+        and it does not depend on the batch's memory layout.
         """
         pts = np.asarray(pts, dtype=np.complex128)
-        single = pts.ndim == 1
-        P = pts.reshape(-1, self.n)
-        factors, C = self._plan
-        mono = np.empty((P.shape[0], len(factors)), dtype=np.complex128)  # (N, T)
-        for t, term in enumerate(factors):
-            cols = [P[:, j] if e == 1 else P[:, j] ** e for j, e in term]
-            if not cols:
-                mono[:, t] = 1.0
-            elif len(cols) == 1:
-                mono[:, t] = cols[0]
-            else:
-                mono[:, t] = np.prod(np.stack(cols, axis=1), axis=1)
-        out = mono @ C
-        return out[0] if single else out
+        out = self._plan.eval(pts.reshape(-1, self.n))[:, 0]
+        return out[0] if pts.ndim == 1 else out
 
     def partial(self, j: int) -> "SparsePolynomial":
         terms = []
@@ -137,9 +115,67 @@ class SparsePolynomial:
         )
 
 
-@lru_cache(maxsize=256)
-def gradient(poly: SparsePolynomial) -> tuple[SparsePolynomial, ...]:
-    return tuple(poly.partial(j) for j in range(poly.n))
+class MonomialPlan:
+    """The distinct monomials of a list of L polynomials in n variables,
+    sorted by exponent tuple, and their coefficient matrix (U, L): `eval`
+    gives all L polynomials at a batch as one monomial table and one
+    matmul.
+
+    A monomial is the product of its factors with a nonzero exponent, in
+    coordinate order: z ** 1 and a factor z ** 0 = 1 are exact, powers take
+    an np.int64 exponent array (the loop of the broadcast power; a Python
+    int 2 would take the `square` path), and two or more factors are
+    multiplied by `np.prod` along the contiguous last axis of an
+    `np.take` gather (a fancy-indexed gather is not C-ordered, and a
+    binary `x * y` may fuse a multiply-add).  Each polynomial's terms keep
+    their sorted order among the rows of the table, so a column's sum adds
+    its terms in the order of a one-polynomial plan; the extra zero
+    coefficients add nothing.  On the fixtures and the twisted cubic cone
+    `Variety.residuals` and `jacobian` equal one plan per polynomial bit
+    for bit (tests/test_variety.py).
+    """
+
+    def __init__(self, n: int, polys: Sequence[SparsePolynomial]):
+        monos = sorted({e for p in polys for e, _ in p.terms})
+        row = {e: u for u, e in enumerate(monos)}
+        self.coeffs = np.zeros((len(monos), len(polys)), dtype=np.complex128)
+        for k, p in enumerate(polys):
+            for e, c in p.terms:
+                self.coeffs[row[e], k] = c
+        # factor sources: the n coordinates, then each power z_j ** e (e > 1)
+        powers = sorted({(j, e) for m in monos for j, e in enumerate(m) if e > 1})
+        self.pow_cols = np.array([j for j, _ in powers], dtype=np.intp)
+        self.pow_exps = np.array([e for _, e in powers], dtype=np.int64)
+        source = {p: n + i for i, p in enumerate(powers)}
+        groups: dict[int, list] = {}
+        for u, m in enumerate(monos):
+            factors = [j if e == 1 else source[j, e] for j, e in enumerate(m) if e]
+            groups.setdefault(len(factors), []).append((u, factors))
+        # per factor count f: the table columns (G,) and factor sources (G, f)
+        self.groups = tuple(
+            (np.array([u for u, _ in g], dtype=np.intp),
+             np.array([fs for _, fs in g], dtype=np.intp).reshape(len(g), f))
+            for f, g in sorted(groups.items())
+        )
+
+    def table(self, P: np.ndarray) -> np.ndarray:
+        """Monomial values (N, U) at a batch P (N, n)."""
+        S = P
+        if self.pow_cols.size:
+            S = np.concatenate([P, P[:, self.pow_cols] ** self.pow_exps], axis=1)
+        mono = np.empty((P.shape[0], self.coeffs.shape[0]), dtype=np.complex128)
+        for cols, src in self.groups:
+            if src.shape[1] == 0:
+                mono[:, cols] = 1.0
+            elif src.shape[1] == 1:
+                mono[:, cols] = np.take(S, src[:, 0], axis=1)
+            else:
+                mono[:, cols] = np.prod(np.take(S, src, axis=1), axis=2)
+        return mono
+
+    def eval(self, P: np.ndarray) -> np.ndarray:
+        """The L polynomials at a batch P (N, n): (N, L)."""
+        return self.table(P) @ self.coeffs
 
 
 def weighted_degree(poly: SparsePolynomial, weights: Weights) -> int:
@@ -206,26 +242,26 @@ class Variety:
             raise ValueError("pure_dim must satisfy 1 <= d < n")
         return Variety(n, weights, polys, degrees, pure_dim)
 
+    @cached_property
+    def _plans(self) -> tuple[MonomialPlan, MonomialPlan]:
+        """One `MonomialPlan` of the Q_k, for residuals and the line
+        search, and one of the dQ_k/dz_j (k major), for the Jacobian."""
+        n = self.ambient_dim
+        grads = [q.partial(j) for q in self.polynomials for j in range(n)]
+        return MonomialPlan(n, self.polynomials), MonomialPlan(n, grads)
+
     def residuals(self, pts) -> np.ndarray:
         """Q_k (complex) at one point -> (K,) or batch (N, n) -> (N, K)."""
         pts = np.asarray(pts, dtype=np.complex128)
-        single = pts.ndim == 1
-        P = pts.reshape(-1, self.ambient_dim)
-        vals = np.empty((P.shape[0], len(self.polynomials)), dtype=np.complex128)
-        for k, q in enumerate(self.polynomials):
-            vals[:, k] = q.eval(P)
-        return vals[0] if single else vals
+        vals = self._plans[0].eval(pts.reshape(-1, self.ambient_dim))
+        return vals[0] if pts.ndim == 1 else vals
 
     def jacobian(self, pts) -> np.ndarray:
         """dQ_k/dz_j at one point -> (K, n) or batch (N, n) -> (N, K, n)."""
         pts = np.asarray(pts, dtype=np.complex128)
-        single = pts.ndim == 1
-        P = pts.reshape(-1, self.ambient_dim)
-        J = np.empty((P.shape[0], len(self.polynomials), self.ambient_dim), dtype=np.complex128)
-        for k, q in enumerate(self.polynomials):
-            for j, g in enumerate(gradient(q)):
-                J[:, k, j] = g.eval(P)
-        return J[0] if single else J
+        n = self.ambient_dim
+        J = self._plans[1].eval(pts.reshape(-1, n)).reshape(-1, len(self.polynomials), n)
+        return J[0] if pts.ndim == 1 else J
 
 
 def _membership_scales(variety: Variety, pts: np.ndarray) -> np.ndarray:

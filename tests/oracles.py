@@ -18,7 +18,6 @@ from dbarcone import measure
 from dbarcone.charts import slice_tangents
 from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult, truncation_radius
-from dbarcone.variety import gradient
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -178,7 +177,8 @@ def jacobian_by_polynomials(variety, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.complex128)
     P = pts.reshape(-1, variety.ambient_dim)
     J = np.stack(
-        [np.stack([g.eval(P) for g in gradient(q)], axis=1) for q in variety.polynomials],
+        [np.stack([q.partial(j).eval(P) for j in range(q.n)], axis=1)
+         for q in variety.polynomials],
         axis=1,
     )
     return J[0] if pts.ndim == 1 else J

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbarcone import variety
 from dbarcone.errors import NonHomogeneous, NotOnVariety, ZeroPolynomial
 from dbarcone.fixtures import VARIETY_FIXTURES, cone6, cusp, line2, quadric_cone
 from dbarcone.solver import theta_cone
@@ -12,7 +13,6 @@ from dbarcone.variety import (
     act,
     contains,
     contains_batch,
-    gradient,
     is_regular,
     orbit_scale,
     project_batch,
@@ -303,7 +303,7 @@ def _eval_cases() -> list[SparsePolynomial]:
     polys += [
         SparsePolynomial.from_terms(3, [((1, 2, 3), 0.5 - 1j), ((2, 0, 1), 2.0), ((0, 0, 0), 1j)])
     ]
-    polys += [g for q in list(polys) for g in gradient(q)]
+    polys += [q.partial(j) for q in list(polys) for j in range(q.n)]
     polys += [SparsePolynomial.from_terms(2, []), SparsePolynomial.from_terms(3, [((0, 0, 0), 1.5 - 2j)])]
     return polys
 
@@ -329,11 +329,33 @@ def test_eval_matches_broadcast_formula_bit_for_bit():
     ids=list(VARIETY_FIXTURES) + ["twisted-cubic"],
 )
 def test_residuals_and_jacobian_match_stacked_evals_bit_for_bit(make):
+    # one monomial table and one matmul per call equal one evaluation per
+    # polynomial and gradient entry, at every batch size
     V = make()
     rng = np.random.default_rng(32)
-    P = rng.standard_normal((97, V.ambient_dim)) + 1j * rng.standard_normal((97, V.ambient_dim))
-    for pts in (P, P[:1], P[0]):
+    P = rng.standard_normal((1000, V.ambient_dim)) + 1j * rng.standard_normal((1000, V.ambient_dim))
+    P *= rng.uniform(0.0, 2.0, (1000, 1))
+    for pts in (P[:1], P[:3], P[:17], P[:100], P, P[0]):
         for got, ref in ((V.residuals(pts), residuals_by_polynomials(V, pts)),
                          (V.jacobian(pts), jacobian_by_polynomials(V, pts))):
             assert got.shape == ref.shape
             assert np.array_equal(got, ref) and _same_bits(got, ref)
+
+
+def test_jacobian_is_one_monomial_table(monkeypatch):
+    # one table and one matmul per call, no per-entry polynomial evaluation
+    V = twisted_cubic()
+    P = np.random.default_rng(33).standard_normal((50, 4)) + 0j
+    V.jacobian(P[:1])  # builds the plans
+    tables, evals = [], []
+    table = variety.MonomialPlan.table
+
+    def counted_table(self, pts):
+        tables.append(pts.shape)
+        return table(self, pts)
+
+    monkeypatch.setattr(variety.MonomialPlan, "table", counted_table)
+    monkeypatch.setattr(variety.SparsePolynomial, "eval", lambda *a: evals.append(a))
+    J = V.jacobian(P)
+    assert tables == [(50, 4)] and evals == []
+    assert J.shape == (50, 3, 4)
