@@ -341,14 +341,22 @@ def newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Square blocks are solved exactly; a row whose block is exactly
     singular gets no step and is flagged, so it fails alone instead of
     stopping the rest of the batch.  Other blocks take a ridge step
-    through the smaller Gram matrix, with lam = 1e-14 (1 + |J|_F^2): wide
+    through the smaller Gram matrix G, with lam = 1e-14 (1 + |J|_F^2): wide
     ones (K < r) the minimal-norm J^H (J J^H + lam I)^{-1} R, tall ones
     (K > r) the least-squares (J^H J + lam I)^{-1} J^H R.
-    Returns (step, singular).
+    1 x 1 systems (K = r = 1, or a 1 x 1 G) are solved in closed form by
+    one division, which moves last bits against LAPACK's solve; every
+    slice step and tangent of a hypersurface is one, and there LAPACK's
+    per-row cost dominated the division's.  Larger blocks go through
+    `np.linalg.solve`.  Returns (step, singular).
     """
     M, K, r = J.shape
     singular = np.zeros(M, dtype=bool)
-    if K == r:
+    if K == r == 1:
+        singular = J[:, 0, 0] == 0
+        step = -R / np.where(singular[:, None, None], 1.0, J)
+        step[singular] = 0.0
+    elif K == r:
         try:
             step = -np.linalg.solve(J, R)
         except np.linalg.LinAlgError:
@@ -364,7 +372,11 @@ def newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         G = G + 1e-14 * np.eye(G.shape[1])[None, :, :] * (
             1.0 + np.abs(np.trace(G, axis1=1, axis2=2))[:, None, None]
         )
-        step = -(Jh @ np.linalg.solve(G, R)) if K < r else -np.linalg.solve(G, Jh @ R)
+
+        def solve(B: np.ndarray) -> np.ndarray:
+            return B / G if G.shape[1] == 1 else np.linalg.solve(G, B)
+
+        step = -(Jh @ solve(R)) if K < r else -solve(Jh @ R)
     return step, singular
 
 

@@ -336,3 +336,38 @@ def eval_rects_by_points(sweep, K, rects: np.ndarray) -> np.ndarray:
     W2 = wgt[None, :, None] * wgt[None, None, :]
     scale = (u_half * t_half)[:, None, None]
     return np.sum(J * W2 * scale, axis=(1, 2))
+
+
+def newton_steps_by_lapack(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for variety.newton_steps: every block through LAPACK.
+
+    Newton steps -J^+ R per row for J: (M, K, r) and R: (M, K, q).
+
+    Square blocks are solved exactly; a row whose block is exactly
+    singular gets no step and is flagged, so it fails alone instead of
+    stopping the rest of the batch.  Other blocks take a ridge step
+    through the smaller Gram matrix, with lam = 1e-14 (1 + |J|_F^2): wide
+    ones (K < r) the minimal-norm J^H (J J^H + lam I)^{-1} R, tall ones
+    (K > r) the least-squares (J^H J + lam I)^{-1} J^H R.
+    Returns (step, singular).
+    """
+    M, K, r = J.shape
+    singular = np.zeros(M, dtype=bool)
+    if K == r:
+        try:
+            step = -np.linalg.solve(J, R)
+        except np.linalg.LinAlgError:
+            step = np.zeros((M, r, R.shape[2]), dtype=np.complex128)
+            for i in range(M):
+                try:
+                    step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1])[0]
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+    else:
+        Jh = J.conj().transpose(0, 2, 1)
+        G = J @ Jh if K < r else Jh @ J
+        G = G + 1e-14 * np.eye(G.shape[1])[None, :, :] * (
+            1.0 + np.abs(np.trace(G, axis1=1, axis2=2))[:, None, None]
+        )
+        step = -(Jh @ np.linalg.solve(G, R)) if K < r else -np.linalg.solve(G, Jh @ R)
+    return step, singular

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbarcone import variety
+from dbarcone import charts, variety
 from dbarcone.errors import NonHomogeneous, NotOnVariety, ZeroPolynomial
 from dbarcone.fixtures import VARIETY_FIXTURES, cone6, cusp, line2, quadric_cone
+from dbarcone.measure import surface_integral
 from dbarcone.solver import theta_cone
 from dbarcone.variety import (
     SparsePolynomial,
@@ -14,6 +15,7 @@ from dbarcone.variety import (
     contains,
     contains_batch,
     is_regular,
+    newton_steps,
     orbit_scale,
     project_batch,
     regular_batch,
@@ -22,6 +24,7 @@ from dbarcone.variety import (
 
 from oracles import (
     jacobian_by_polynomials,
+    newton_steps_by_lapack,
     orbit_scale_by_rows,
     poly_eval_broadcast,
     project_whole_batch,
@@ -359,3 +362,54 @@ def test_jacobian_is_one_monomial_table(monkeypatch):
     J = V.jacobian(P)
     assert tables == [(50, 4)] and evals == []
     assert J.shape == (50, 3, 4)
+
+
+def _blocks(rng, M, K, r, q):
+    """Random complex (M, K, r) and (M, K, q) blocks over 12 decades."""
+    def draw(*shape):
+        mag = 10.0 ** rng.uniform(-6.0, 6.0, shape)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mag
+    return draw(M, K, r), draw(M, K, q)
+
+
+@pytest.mark.parametrize("K, r, q", [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1), (3, 1, 1),
+                                     (2, 1, 2)])
+def test_closed_form_steps_match_lapack(K, r, q):
+    # 1 x 1 square blocks and 1 x 1 Gram matrices (K = 1 wide, r = 1 tall)
+    # are one division: within 4 eps of the LAPACK step, row by row
+    J, R = _blocks(np.random.default_rng(34), 5000, K, r, q)
+    step, singular = newton_steps(J, R)
+    ref, ref_singular = newton_steps_by_lapack(J, R)
+    assert step.shape == ref.shape and not singular.any() and not ref_singular.any()
+    err = np.linalg.norm((step - ref).reshape(5000, -1), axis=1)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.linalg.norm(ref.reshape(5000, -1), axis=1))
+
+
+def test_closed_form_zero_jacobian_row_is_singular():
+    J, R = _blocks(np.random.default_rng(35), 6, 1, 1, 1)
+    J[[1, 4]] = 0.0
+    for steps in (newton_steps, newton_steps_by_lapack):
+        step, singular = steps(J, R)
+        assert singular.tolist() == [False, True, False, False, True, False]
+        assert np.all(step[singular] == 0) and np.all(step[~singular] != 0)
+
+
+@pytest.mark.parametrize("K, r", [(2, 2), (3, 2), (2, 3)])
+def test_larger_blocks_keep_the_lapack_step(K, r):
+    J, R = _blocks(np.random.default_rng(36), 200, K, r, 2)
+    step, singular = newton_steps(J, R)
+    ref, ref_singular = newton_steps_by_lapack(J, R)
+    assert np.array_equal(step, ref) and np.array_equal(singular, ref_singular)
+
+
+def test_twisted_cubic_estimate_keeps_the_lapack_steps(monkeypatch):
+    # K = 3 quadrics in C^4: no 1 x 1 block, so the estimate is unchanged
+    V = twisted_cubic()
+
+    def run():
+        return surface_integral(V, lambda Z: np.sum(np.abs(Z) ** 2, axis=1), 0.8, 1200, 3)
+
+    est = run()
+    monkeypatch.setattr(variety, "newton_steps", newton_steps_by_lapack)
+    monkeypatch.setattr(charts, "newton_steps", newton_steps_by_lapack)
+    assert run() == est
