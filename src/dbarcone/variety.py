@@ -122,14 +122,16 @@ class MonomialPlan:
     matmul.
 
     A monomial is the product of its factors with a nonzero exponent, in
-    coordinate order: z ** 1 and a factor z ** 0 = 1 are exact, powers take
-    an np.int64 exponent array (the loop of the broadcast power; a Python
-    int 2 would take the `square` path), and two or more factors are
-    multiplied by `np.prod` along the contiguous last axis of an
-    `np.take` gather (a fancy-indexed gather is not C-ordered, and a
-    binary `x * y` may fuse a multiply-add).  Each polynomial's terms keep
-    their sorted order among the rows of the table, so a column's sum adds
-    its terms in the order of a one-polynomial plan; the extra zero
+    coordinate order.  The table fills its columns by kind, one numpy call
+    per kind: ones, single coordinates (one gather), single powers, and
+    products of 2, 3, ... factors.  z ** 1 and a factor z ** 0 = 1 are
+    exact, powers take an np.int64 exponent array (the loop of the
+    broadcast power; a Python int 2 would take the `square` path), and
+    products are `np.multiply.reduce` along the contiguous last axis of a
+    `take` gather (a fancy-indexed gather is not C-ordered, and a binary
+    `x * y` may fuse a multiply-add).  Each polynomial's terms keep their
+    sorted order among the rows of the table, so a column's sum adds its
+    terms in the order of a one-polynomial plan; the extra zero
     coefficients add nothing.  On the fixtures and the twisted cubic cone
     `Variety.residuals` and `jacobian` equal one plan per polynomial bit
     for bit (tests/test_variety.py).
@@ -142,35 +144,54 @@ class MonomialPlan:
         for k, p in enumerate(polys):
             for e, c in p.terms:
                 self.coeffs[row[e], k] = c
-        # factor sources: the n coordinates, then each power z_j ** e (e > 1)
-        powers = sorted({(j, e) for m in monos for j, e in enumerate(m) if e > 1})
-        self.pow_cols = np.array([j for j, _ in powers], dtype=np.intp)
-        self.pow_exps = np.array([e for _, e in powers], dtype=np.int64)
+        factors = [[(j, e) for j, e in enumerate(m) if e] for m in monos]
+
+        def columns(kind) -> np.ndarray:
+            return np.array([u for u, f in enumerate(factors) if kind(f)], dtype=np.intp)
+
+        self.ones = columns(lambda f: not f)
+        self.linear = columns(lambda f: len(f) == 1 and f[0][1] == 1)
+        self.power = columns(lambda f: len(f) == 1 and f[0][1] > 1)
+        self.linear_src = np.array([factors[u][0][0] for u in self.linear], dtype=np.intp)
+        self.power_src = np.array([factors[u][0][0] for u in self.power], dtype=np.intp)
+        self.power_exp = np.array([factors[u][0][1] for u in self.power], dtype=np.int64)
+        # products: per factor count, the columns (G,) and factor sources
+        # (G, f) into the coordinates followed by the powers they use
+        products = [u for u, f in enumerate(factors) if len(f) > 1]
+        powers = sorted({(j, e) for u in products for j, e in factors[u] if e > 1})
+        self.factor_pow_src = np.array([j for j, _ in powers], dtype=np.intp)
+        self.factor_pow_exp = np.array([e for _, e in powers], dtype=np.int64)
         source = {p: n + i for i, p in enumerate(powers)}
-        groups: dict[int, list] = {}
-        for u, m in enumerate(monos):
-            factors = [j if e == 1 else source[j, e] for j, e in enumerate(m) if e]
-            groups.setdefault(len(factors), []).append((u, factors))
-        # per factor count f: the table columns (G,) and factor sources (G, f)
-        self.groups = tuple(
-            (np.array([u for u, _ in g], dtype=np.intp),
-             np.array([fs for _, fs in g], dtype=np.intp).reshape(len(g), f))
-            for f, g in sorted(groups.items())
+        by_count: dict[int, list] = {}
+        for u in products:
+            by_count.setdefault(len(factors[u]), []).append(u)
+        self.products = tuple(
+            (np.array(us, dtype=np.intp),
+             np.array([[j if e == 1 else source[j, e] for j, e in factors[u]] for u in us],
+                      dtype=np.intp))
+            for _, us in sorted(by_count.items())
         )
 
     def table(self, P: np.ndarray) -> np.ndarray:
         """Monomial values (N, U) at a batch P (N, n)."""
-        S = P
-        if self.pow_cols.size:
-            S = np.concatenate([P, P[:, self.pow_cols] ** self.pow_exps], axis=1)
-        mono = np.empty((P.shape[0], self.coeffs.shape[0]), dtype=np.complex128)
-        for cols, src in self.groups:
-            if src.shape[1] == 0:
-                mono[:, cols] = 1.0
-            elif src.shape[1] == 1:
-                mono[:, cols] = np.take(S, src[:, 0], axis=1)
-            else:
-                mono[:, cols] = np.prod(np.take(S, src, axis=1), axis=2)
+        U = self.coeffs.shape[0]
+        if self.linear.size == U:  # every monomial is a coordinate
+            return P.take(self.linear_src, axis=1)
+        mono = np.empty((P.shape[0], U), dtype=np.complex128)
+        if self.ones.size:
+            mono[:, self.ones] = 1.0
+        if self.linear.size:
+            mono[:, self.linear] = P.take(self.linear_src, axis=1)
+        if self.power.size:
+            mono[:, self.power] = P.take(self.power_src, axis=1) ** self.power_exp
+        if self.products:
+            S = P
+            if self.factor_pow_src.size:
+                S = np.concatenate(
+                    [P, P.take(self.factor_pow_src, axis=1) ** self.factor_pow_exp], axis=1
+                )
+            for cols, src in self.products:
+                mono[:, cols] = np.multiply.reduce(S.take(src, axis=1), axis=2)
         return mono
 
     def eval(self, P: np.ndarray) -> np.ndarray:
