@@ -16,7 +16,8 @@ counted exactly once).
 Every chart draws its samples from its own random stream, so they depend
 on no other chart.  One estimate then runs one slice Newton and one
 `ConeAtlas.assign` over the samples of all charts together (in blocks of
-`_BLOCK` rows, which bounds memory), and one tangent, Gram and integrand
+`_BLOCK` rows, which bounds memory; the coverage pilot's link points ride
+in the last block's `assign`), and one tangent, Gram and integrand
 evaluation over the rows each chart keeps.
 
 The distance upper bound is the length of the projected chord: the ambient
@@ -318,10 +319,13 @@ def _cone_mc(
     `default_rng((rng_seed, 0xA7145, i))`, so its samples depend on no
     other chart.  All charts' box samples then go through one slice Newton
     and one `assign` (in blocks of `_BLOCK` rows), and each chart keeps the
-    rows assigned to it.  Tangents, Gram factors and the integrand run once
-    over the kept rows.  Each row depends on that row alone and the
-    per-chart sums are added in chart order, so the estimate equals a loop
-    over the charts on the same streams bit for bit."""
+    rows assigned to it.  The coverage pilot, at most 256 independently
+    sampled link points, is drawn first and assigned with the last block,
+    so an estimate makes one `assign` call.  Tangents, Gram factors and
+    the integrand run once over the kept rows.  Each row depends on that
+    row alone and the per-chart sums are added in chart order, so the
+    estimate equals a loop over the charts on the same streams bit for
+    bit."""
     if atlas is None:
         atlas = ConeAtlas(variety, 24, rng_seed)
     d = atlas.d
@@ -353,12 +357,10 @@ def _cone_mc(
         newton_failures += int(rows.size - ok.sum())
         rows, Y = rows[ok], Y[ok]
         P = np.exp(1j * phi[rows])[:, None] * Y / np.linalg.norm(Y, axis=1)[:, None]
-        if start + _BLOCK < N:
-            hit = atlas.assign(P) == owner[rows]
-        else:
-            labels = atlas.assign(np.concatenate([P, unit]))
-            hit = labels[:rows.size] == owner[rows]
-            gaps = int(np.sum(labels[rows.size:] < 0))
+        last = start + _BLOCK >= N
+        labels = atlas.assign(np.concatenate([P, unit]) if last else P)
+        hit = labels[:rows.size] == owner[rows]
+        gaps = int(np.sum(labels[rows.size:] < 0))  # the pilot's, in the last block
         kept.append(rows[hit])
         Y_kept.append(Y[hit])
         P_kept.append(P[hit])

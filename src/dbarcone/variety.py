@@ -3,10 +3,11 @@
 A variety is the common zero locus of finitely many polynomials that are
 weighted homogeneous for one shared weight vector beta: Q(s^beta * z) =
 s^d Q(z), where s^beta * z scales coordinate k by s^(beta_k).  This module
-provides the scaling action, batched membership and regularity tests, the
-one damped Newton (the Gauss-Newton projection used by the sampling
-machinery and the charts' slice solves), and the one bisection for the
-orbit scale t with |t^beta z| = target.
+provides the one polynomial evaluator (`MonomialPlan`), the scaling
+action, batched membership and regularity tests, the one damped Newton
+(the Gauss-Newton projection used by the sampling machinery and the
+charts' slice solves), and the one bisection for the orbit scale t with
+|t^beta z| = target.
 """
 
 from __future__ import annotations
