@@ -5,8 +5,8 @@ transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
 chart map, the batched chart, variety and cone Monte Carlo code is
 checked against one-point, one-chart and one-row loops, and the lean
-integrand and panel paths are checked against the general formulas they
-shortcut."""
+integrand and panel paths and the closed-form Newton steps are checked
+against the general formulas they shortcut."""
 
 from __future__ import annotations
 
@@ -339,18 +339,10 @@ def eval_rects_by_points(sweep, K, rects: np.ndarray) -> np.ndarray:
 
 
 def newton_steps_by_lapack(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for variety.newton_steps: every block through LAPACK.
-
-    Newton steps -J^+ R per row for J: (M, K, r) and R: (M, K, q).
-
-    Square blocks are solved exactly; a row whose block is exactly
-    singular gets no step and is flagged, so it fails alone instead of
-    stopping the rest of the batch.  Other blocks take a ridge step
-    through the smaller Gram matrix, with lam = 1e-14 (1 + |J|_F^2): wide
-    ones (K < r) the minimal-norm J^H (J J^H + lam I)^{-1} R, tall ones
-    (K > r) the least-squares (J^H J + lam I)^{-1} J^H R.
-    Returns (step, singular).
-    """
+    """Reference for variety.newton_steps with every system, 1 x 1 ones
+    included, solved by LAPACK: square blocks exactly (an exactly singular
+    row gets no step and is flagged), others by the ridge step through
+    the smaller Gram matrix.  Returns (step, singular)."""
     M, K, r = J.shape
     singular = np.zeros(M, dtype=bool)
     if K == r:
