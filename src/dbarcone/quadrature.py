@@ -42,6 +42,8 @@ _N_U = 12  # equal initial radial panels
 _N_THETA = 8  # equal initial angular panels
 _GAUSS = np.polynomial.legendre.leggauss(8)  # rule on each rect, per axis
 _W2 = np.outer(_GAUSS[1], _GAUSS[1])  # the product rule's weights, (radial, angular)
+# QUADPACK's roundoff floor per unit of integral of |K| (its qk rules' resabs)
+_ROUNDOFF = 50.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,14 @@ def _nodes(sweep: _Sweep, rects: np.ndarray):
     return w, r * span  # dA = r dr dtheta, dr/du = span
 
 
-def _eval_rects(sweep: _Sweep, K, rects: np.ndarray) -> np.ndarray:
+def _eval_rects(
+    sweep: _Sweep, K, rects: np.ndarray, mass: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Integrate K over each rect (R, 4) with the 8 x 8 Gauss rule; returns
     (R,).  K gets the nodes as one 1-d array.  The real weights r * span *
     w_i * w_j * u_half * t_half meet the float64 view of K's values in one
-    reduction per rect."""
+    reduction per rect.  A given `mass` (R,) receives the same rule's
+    integral of |K| over each rect: one more reduction, on the same values."""
     w, factor = _nodes(sweep, rects)
     vals = np.ascontiguousarray(K(w.reshape(-1)), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
@@ -133,24 +138,28 @@ def _eval_rects(sweep: _Sweep, K, rects: np.ndarray) -> np.ndarray:
     weights = factor * (_W2 * scale[:, None, None])
     n, m = rects.shape[0], _W2.size
     sums = np.matmul(weights.reshape(n, 1, m), vals.view(np.float64).reshape(n, m, 2))
+    if mass is not None:
+        mass[:] = np.matmul(weights.reshape(n, 1, m), np.abs(vals).reshape(n, m, 1)).reshape(n)
     return sums.reshape(n, 2).view(np.complex128)[:, 0]
 
 
 def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray):
     """Evaluate the four quadrants of each rect (R, 4) whose own value is
     `coarse` (R,).  Returns the quadrants (R, 4, 4), their values (R, 4), the
-    fine values (R,) and the discrepancies |coarse - fine| (R,)."""
+    fine values (R,), the discrepancies |coarse - fine| (R,) and the
+    quadrants' summed |K| integrals (R,)."""
     u0, u1, t0, t1 = rects.T
     um, tm = 0.5 * (u0 + u1), 0.5 * (t0 + t1)
     kids = np.stack(
         [u0, um, t0, tm, u0, um, tm, t1, um, u1, t0, tm, um, u1, tm, t1], axis=-1
     ).reshape(-1, 4, 4)
-    kid_vals = _eval_rects(sweep, K, kids.reshape(-1, 4)).reshape(-1, 4)
+    mass = np.empty(4 * rects.shape[0])
+    kid_vals = _eval_rects(sweep, K, kids.reshape(-1, 4), mass).reshape(-1, 4)
     fine = kid_vals.sum(axis=1)
     d = coarse - fine
     # hypot equals abs() of each complex number bit for bit; np.abs on a
     # complex array takes a SIMD path that can differ in the last bit
-    return kids, kid_vals, fine, np.hypot(d.real, d.imag)
+    return kids, kid_vals, fine, np.hypot(d.real, d.imag), mass.reshape(-1, 4).sum(axis=1)
 
 
 def _sweep(integrand: PlanarIntegrand, params: QuadratureParams) -> _Sweep:
@@ -214,10 +223,13 @@ def integrate_plane(
 
     The disk is swept in polar coordinates about the integrand's singular
     point, or about the origin when it has none inside the disk.  Returns
-    (value, error_estimate); the estimate is the refinement differencing
-    plus, under an explicit `singular_exclusion`, the estimated mass
-    excluded around the singular point.  Raises NoConvergence, naming the
-    budget, when `max_panels` or `max_refinement_depth` runs out first.
+    (value, error_estimate); the estimate is the refinement differencing,
+    plus QUADPACK's roundoff floor 50 eps * integral of |K| dA over the
+    final panels, plus, under an explicit `singular_exclusion`, the
+    estimated mass excluded around the singular point.  The floor only
+    reports: the refinement stops on the differencing alone.  Raises
+    NoConvergence, naming the budget, when `max_panels` or
+    `max_refinement_depth` runs out first.
     """
     W = float(integrand.truncation_radius)
     if not math.isfinite(W):
@@ -228,12 +240,13 @@ def integrate_plane(
     sweep = _sweep(integrand, params)
 
     # entries: [-disc, seq, depth, value, disc, quadrants (4, 4), quadrant
-    # values (4,)]; refining a panel reuses its quadrant values as the
-    # children's coarse values, so no rect is ever evaluated twice
+    # values (4,), quadrants' |K| integral]; refining a panel reuses its
+    # quadrant values as the children's coarse values, so no rect is ever
+    # evaluated twice
     coarse = _eval_rects(sweep, K, _INITIAL_RECTS)
     panels = [
-        [-disc, seq, 0, val, disc, kids, kid_vals]
-        for seq, (kids, kid_vals, val, disc) in enumerate(
+        [-disc, seq, 0, val, disc, kids, kid_vals, mass]
+        for seq, (kids, kid_vals, val, disc, mass) in enumerate(
             zip(*_split(sweep, K, _INITIAL_RECTS, coarse))
         )
     ]
@@ -243,6 +256,7 @@ def integrate_plane(
     heapq.heapify(panels)
     total = sum(p[3] for p in panels)
     err = sum(p[4] for p in panels)
+    abs_total = sum(p[7] for p in panels)
 
     while True:
         # tolerances are stated for the final value, which carries |-2i| = 2
@@ -281,15 +295,17 @@ def integrate_plane(
         for bi, p in enumerate(batch):
             total -= p[3]
             err -= p[4]
+            abs_total -= p[7]
             for ci in range(4 * bi, 4 * bi + 4):
-                kids, kid_vals, val, disc = (a[ci] for a in results)
-                heapq.heappush(panels, [-disc, seq, p[2] + 1, val, disc, kids, kid_vals])
+                kids, kid_vals, val, disc, mass = (a[ci] for a in results)
+                heapq.heappush(panels, [-disc, seq, p[2] + 1, val, disc, kids, kid_vals, mass])
                 seq += 1
                 total += val
                 err += disc
+                abs_total += mass
 
     value = -2j * total
-    error_estimate = 2.0 * (err + eps_mass)
+    error_estimate = 2.0 * (err + eps_mass + _ROUNDOFF * abs_total)
     return value, error_estimate
 
 

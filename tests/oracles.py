@@ -321,10 +321,11 @@ def rect_points_by_points(sweep, rects: np.ndarray):
     return sweep.pole + r * direction, r * span
 
 
-def eval_rects_by_points(sweep, K, rects: np.ndarray) -> np.ndarray:
+def eval_rects_by_points(sweep, K, rects: np.ndarray, mass=None) -> np.ndarray:
     """Reference for quadrature._eval_rects: K times the area factor at
     the per-point nodes of `rect_points_by_points`, times the Gauss weights
-    and the rect's half-widths, summed in complex arithmetic per rect."""
+    and the rect's half-widths, summed in complex arithmetic per rect.  A
+    given `mass` receives the same sums of |K|."""
     wgt = _GAUSS[1]
     u_half = 0.5 * (rects[:, 1] - rects[:, 0])
     t_half = 0.5 * (rects[:, 3] - rects[:, 2])
@@ -332,10 +333,16 @@ def eval_rects_by_points(sweep, K, rects: np.ndarray) -> np.ndarray:
     vals = np.asarray(K(w), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values")
-    J = (vals * factor).reshape(rects.shape[0], len(wgt), len(wgt))
     W2 = wgt[None, :, None] * wgt[None, None, :]
     scale = (u_half * t_half)[:, None, None]
-    return np.sum(J * W2 * scale, axis=(1, 2))
+
+    def rule(v):
+        J = (v * factor).reshape(rects.shape[0], len(wgt), len(wgt))
+        return np.sum(J * W2 * scale, axis=(1, 2))
+
+    if mass is not None:
+        mass[:] = rule(np.abs(vals))
+    return rule(vals)
 
 
 def newton_steps_by_lapack(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
