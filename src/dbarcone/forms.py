@@ -3,7 +3,9 @@
 A form holds one vectorized field: it maps an (N, n) complex array of
 points to the (N, n) array of coefficients (f_1, ..., f_n) at those points.
 The support cutoff |z| < R is enforced by the form itself, so the field may
-be defined ambiently.
+be defined ambiently.  A form may also state an inner radius: a promise
+that its field vanishes for |z| <= inner_radius, which lets the solver
+skip that ball.  It is 0 (no promise) unless a constructor knows better.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ class ZeroOneForm:
     support_radius: float
     sup_bound: float
     dbar_closed: bool
+    inner_radius: float = 0.0  # the field vanishes for |z| <= inner_radius
 
     def __post_init__(self):
         if self.support_radius <= 0:
@@ -104,7 +107,8 @@ def bump_dbar_form(
     """Exactly dbar-closed test form: lambda = dbar(h * chi) with h a
     holomorphic polynomial and chi the C^3 radial plateau.
 
-    Since h is holomorphic, lambda = h * chi'(|z|^2) * sum_k z_k dzbar_k.
+    Since h is holomorphic, lambda = h * chi'(|z|^2) * sum_k z_k dzbar_k,
+    which vanishes for |z| <= r0: the form's inner radius is r0.
     """
     if not (0 < r0 < R):
         raise ValueError("need 0 < r0 < R")
@@ -112,7 +116,7 @@ def bump_dbar_form(
     def field(P: np.ndarray) -> np.ndarray:
         return (h.eval(P) * radial_cutoff_deriv(P, r0, R))[:, None] * P
 
-    return ZeroOneForm(h.n, field, R, estimate_sup_bound(field, h.n, R), True)
+    return ZeroOneForm(h.n, field, R, estimate_sup_bound(field, h.n, R), True, r0)
 
 
 def raw_bump_form(n: int, r0: float, R: float) -> ZeroOneForm:
@@ -134,4 +138,5 @@ def scale_form(c: complex, form: ZeroOneForm) -> ZeroOneForm:
         form.support_radius,
         abs(c) * form.sup_bound,
         form.dbar_closed,
+        form.inner_radius,
     )

@@ -69,12 +69,14 @@ class PlanarIntegrand:
 
     `evaluate` must accept a 1-d complex array and return finite complex
     values everywhere except at the singular point, if one is listed; K
-    must vanish for |w| > truncation_radius.  At most one singular point.
+    must vanish for |w| > truncation_radius, and for |w| < inner_radius
+    (0: no hole).  At most one singular point.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple[complex, ...] = ()
     truncation_radius: float = 1.0
+    inner_radius: float = 0.0
 
     def __post_init__(self):
         if len(self.singular_points) > 1:
@@ -92,6 +94,7 @@ class _Sweep:
     pole: complex
     eps: float
     W: float
+    initial: np.ndarray  # the initial rects (u0, u1, th0, th1)
 
     def rho(self, direction: np.ndarray) -> np.ndarray:
         """Distance from the pole to the support circle along the unit
@@ -162,29 +165,43 @@ def _split(sweep: _Sweep, K, rects: np.ndarray, coarse: np.ndarray):
     return kids, kid_vals, fine, np.hypot(d.real, d.imag), mass.reshape(-1, 4).sum(axis=1)
 
 
+def _grid(u_bounds, th_bounds) -> np.ndarray:
+    """The rects (u0, u1, th0, th1) of a product grid, radial index major."""
+    return np.array(
+        [
+            (u_bounds[i], u_bounds[i + 1], th_bounds[j], th_bounds[j + 1])
+            for i in range(len(u_bounds) - 1)
+            for j in range(len(th_bounds) - 1)
+        ],
+        dtype=np.float64,
+    )
+
+
+# initial panels: _N_U equal in u times _N_THETA equal in theta
+_INITIAL_RECTS = _grid(
+    np.linspace(0.0, 1.0, _N_U + 1), [2 * math.pi * k / _N_THETA for k in range(_N_THETA + 1)]
+)
+# The annulus sweep's initial grid is measured, like the pole sweep's: the
+# coarsest that calibrates on solve-grid ops.  Its kernel is smooth on the
+# annulus: one radial times 2 angular panels.
+_ANNULUS_RECTS = _grid([0.0, 1.0], [0.0, math.pi, 2 * math.pi])
+
+
 def _sweep(integrand: PlanarIntegrand, params: QuadratureParams) -> _Sweep:
     """The sweep about the singular point, or about the origin when there is
     none inside the disk; the exclusion stays within a quarter of the pole's
-    distance to the support circle."""
+    distance to the support circle.  Without an exclusion, a pole inside
+    the integrand's hole gets the annulus sweep about the origin, with the
+    hole's radius as its eps."""
     W = float(integrand.truncation_radius)
+    hole = float(integrand.inner_radius)
     for a in map(complex, integrand.singular_points):
         if abs(a) < W * (1 - 1e-12):
+            if abs(a) < hole and not params.singular_exclusion:
+                return _Sweep(pole=0j, eps=hole, W=W, initial=_ANNULUS_RECTS)
             eps = params.singular_exclusion or 0.0
-            return _Sweep(pole=a, eps=min(eps, 0.25 * (W - abs(a))), W=W)
-    return _Sweep(pole=0j, eps=0.0, W=W)
-
-
-# initial panels (u0, u1, th0, th1): _N_U equal in u times _N_THETA equal in theta
-_U_BOUNDS = np.linspace(0.0, 1.0, _N_U + 1)
-_TH_BOUNDS = [2 * math.pi * k / _N_THETA for k in range(_N_THETA + 1)]
-_INITIAL_RECTS = np.array(
-    [
-        (_U_BOUNDS[i], _U_BOUNDS[i + 1], _TH_BOUNDS[j], _TH_BOUNDS[j + 1])
-        for i in range(_N_U)
-        for j in range(_N_THETA)
-    ],
-    dtype=np.float64,
-)
+            return _Sweep(pole=a, eps=min(eps, 0.25 * (W - abs(a))), W=W, initial=_INITIAL_RECTS)
+    return _Sweep(pole=0j, eps=0.0, W=W, initial=_INITIAL_RECTS)
 
 
 def _excluded_mass(sweep: _Sweep, K) -> float:
@@ -243,15 +260,16 @@ def integrate_plane(
     # values (4,), quadrants' |K| integral]; refining a panel reuses its
     # quadrant values as the children's coarse values, so no rect is ever
     # evaluated twice
-    coarse = _eval_rects(sweep, K, _INITIAL_RECTS)
+    coarse = _eval_rects(sweep, K, sweep.initial)
     panels = [
         [-disc, seq, 0, val, disc, kids, kid_vals, mass]
         for seq, (kids, kid_vals, val, disc, mass) in enumerate(
-            zip(*_split(sweep, K, _INITIAL_RECTS, coarse))
+            zip(*_split(sweep, K, sweep.initial, coarse))
         )
     ]
     seq = len(panels)
-    eps_mass = _excluded_mass(sweep, K)
+    # the annulus sweep's eps is the hole, where K vanishes: nothing is excluded
+    eps_mass = _excluded_mass(sweep, K) if params.singular_exclusion else 0.0
 
     heapq.heapify(panels)
     total = sum(p[3] for p in panels)

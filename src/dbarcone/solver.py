@@ -47,12 +47,18 @@ def truncation_radius(weights: Weights, z: np.ndarray, support_radius: float) ->
     weights, the orbit-scale bisection otherwise.  Returns 0 for z = 0.
     """
     z = np.asarray(z, dtype=np.complex128)
-    nrm2 = float(np.sum(np.abs(z) ** 2))
-    if nrm2 == 0.0:
+    if float(np.sum(np.abs(z) ** 2)) == 0.0:
         return 0.0
+    return _orbit_radius(weights, z, support_radius) * (1.0 + 1e-9)
+
+
+def _orbit_radius(weights: Weights, z: np.ndarray, radius: float) -> float:
+    """|w| at which the orbit w^beta z of a nonzero z meets the sphere of
+    `radius`: radius/|z| for unit weights, the orbit-scale bisection
+    otherwise."""
     if weights.is_unit:
-        return support_radius / math.sqrt(nrm2) * (1.0 + 1e-9)
-    return float(orbit_scale(weights, z[None, :], support_radius)[0]) * (1.0 + 1e-9)
+        return radius / math.sqrt(float(np.sum(np.abs(z) ** 2)))
+    return float(orbit_scale(weights, z[None, :], radius)[0])
 
 
 def _check_point(variety: Variety, form: ZeroOneForm, z) -> np.ndarray:
@@ -79,8 +85,10 @@ def _solve(
         K(w) = w^m sum_k beta_k f_k(w^beta z) conj(w)^(beta_k - 1) conj(z_k) / (w - pole)
 
     over the truncation disk, with the pole as its only singular point.
-    m = 0 is the main operator, m = d - 1 the L2 operator on d-dimensional
-    cones.  g(0) = 0 is returned directly, and so is pole = 0, where the
+    K vanishes for |w| below the orbit radius of the form's inner radius,
+    rounded down by 1e-9; the quadrature skips that disc.  m = 0 is the
+    main operator, m = d - 1 the L2 operator on d-dimensional cones.
+    g(0) = 0 is returned directly, and so is pole = 0, where the
     substitution of `solve_scaled` degenerates.
     """
     z = _check_point(variety, form, z)
@@ -111,7 +119,10 @@ def _solve(
             acc = acc * w ** m
         return acc / (w - pole)
 
-    integrand = PlanarIntegrand(evaluate=K, singular_points=(pole,), truncation_radius=W)
+    inner = form.inner_radius and (
+        _orbit_radius(variety.weights, z, form.inner_radius) * (1.0 - 1e-9)
+    )
+    integrand = PlanarIntegrand(K, (pole,), W, inner)
     raw, est = integrate_plane(integrand, params)
     return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)
 

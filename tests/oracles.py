@@ -17,7 +17,7 @@ import numpy as np
 from dbarcone import measure
 from dbarcone.charts import slice_tangents
 from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
-from dbarcone.solver import SolveResult, truncation_radius
+from dbarcone.solver import SolveResult, _orbit_radius, truncation_radius
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -276,9 +276,13 @@ def solve_general_kernel(variety, form, z, params, pole: complex = 1.0 + 0j, m: 
     """Reference for solver._solve at a nonzero z and pole: the kernel with
     w ** beta and conj(w) ** (beta_k - 1) taken for every weight, unit ones
     included, and the support cutoff applied by gathering the inside rows
-    and scattering the field's values into zeros."""
+    and scattering the field's values into zeros.  The integrand states the
+    same inner radius as the solver's."""
     z = np.asarray(z, dtype=np.complex128)
     W = truncation_radius(variety.weights, z, form.support_radius)
+    inner = form.inner_radius and (
+        _orbit_radius(variety.weights, z, form.inner_radius) * (1.0 - 1e-9)
+    )
     beta = variety.weights.as_array()
     live = [k for k in range(variety.ambient_dim) if z[k] != 0]
 
@@ -296,7 +300,7 @@ def solve_general_kernel(variety, form, z, params, pole: complex = 1.0 + 0j, m: 
             acc = acc * w ** m
         return acc / (w - pole)
 
-    raw, est = integrate_plane(PlanarIntegrand(K, (pole,), W), params)
+    raw, est = integrate_plane(PlanarIntegrand(K, (pole,), W, inner), params)
     return SolveResult(raw / (2j * math.pi), est / (2 * math.pi), W)
 
 
