@@ -19,7 +19,21 @@ distance to the support circle are computed once per angular node, and the
 real weights (area factor times Gauss weights times half-widths) meet the
 float64 view of K's values in one reduction per rect.  The error estimate
 is the sum of |coarse - fine| over the panels, each a panel's Gauss value
-against the sum over its four quadrants.
+against the sum over its four quadrants, plus QUADPACK's roundoff floor.
+
+An integrand may also vanish on a hole |w| < inner_radius, as the solver's
+kernels do when the form vanishes near the singular point.  The sweep is
+then chosen by where the pole lies, with no option:
+- in the hole: the annulus sweep, the same polar sweep about the origin
+  with the hole's radius as its eps; the kernel is smooth on the annulus;
+- in the annulus, not too close to the hole: the split sweep about the
+  pole.  A ray that crosses the hole is cut into the segments before and
+  after it and the zero segment between is skipped, so the hole's circle
+  is a coordinate line.  Those rays are parametrised by phi with
+  sin psi = k sin phi, psi the ray's angle from the direction to the
+  origin and k = hole/|pole|: in psi itself the segment ends have square
+  root singularities at the tangent rays, and refinement in psi stalls;
+- anywhere else, or under an exclusion: the pole or origin sweep above.
 
 By default nothing is excluded.  An explicit `singular_exclusion` epsilon
 leaves out the disk |w - pole| < epsilon around the singular point; its
@@ -87,14 +101,16 @@ class PlanarIntegrand:
 class _Sweep:
     """Polar sweep around `pole` with radial coordinate u in [0, 1]:
     r = eps + u * (rho(theta) - eps), from the exclusion circle
-    |w - pole| = eps (eps = 0 unless an exclusion is asked for) out to the
-    support circle |w| = W.
+    |w - pole| = eps (eps = 0 unless an exclusion is asked for, the hole's
+    radius for the annulus sweep) out to the support circle |w| = W.  A
+    nonzero `hole` makes it the split sweep of `_split_nodes`.
     """
 
     pole: complex
     eps: float
     W: float
     initial: np.ndarray  # the initial rects (u0, u1, th0, th1)
+    hole: float = 0.0  # > 0: the split sweep, which skips |w| < hole
 
     def rho(self, direction: np.ndarray) -> np.ndarray:
         """Distance from the pole to the support circle along the unit
@@ -118,11 +134,43 @@ def _nodes(sweep: _Sweep, rects: np.ndarray):
     t_mid = 0.5 * (rects[:, 2] + rects[:, 3])
     t_half = 0.5 * (rects[:, 3] - rects[:, 2])
     U = u_mid[:, None, None] + u_half[:, None, None] * x[None, :, None]
+    if sweep.hole:
+        return _split_nodes(sweep, U, u_mid, t_mid[:, None] + t_half[:, None] * x)
     direction = np.exp(1j * (t_mid[:, None] + t_half[:, None] * x))[:, None, :]
     span = sweep.rho(direction) - sweep.eps
     r = sweep.eps + U * span
     w = sweep.pole + r * direction
     return w, r * span  # dA = r dr dtheta, dr/du = span
+
+
+def _split_nodes(sweep: _Sweep, U: np.ndarray, u_mid: np.ndarray, a: np.ndarray):
+    """`_nodes` of the split sweep, from the radial nodes U (R, 8, 1) and the
+    angular nodes a (R, 8).  Angles are measured from the ray through the
+    origin.  A rect with a > 0 holds rays at angle a that miss the hole,
+    with r = U * rho.  A rect with a < 0 holds rays that cross it, at
+    angle psi with sin psi = k sin phi, phi = a + pi/2 and k = hole/|pole|;
+    u in [0, 1] runs over [0, r1] and u in [1, 2] over [r2, rho], where
+    r1,2 = |pole| cos psi -/+ hole cos phi, and dpsi/da = k cos phi / cos psi
+    joins the area factor."""
+    P = abs(sweep.pole)
+    k = sweep.hole / P
+    cross = np.flatnonzero(a[:, 0] < 0)
+    phi = a[cross] + 0.5 * math.pi
+    sin_psi = k * np.sin(phi)
+    cos_psi = np.sqrt((1.0 - sin_psi) * (1.0 + sin_psi))
+    angle, jac = a.copy(), np.ones_like(a)
+    angle[cross] = np.arcsin(sin_psi)
+    jac[cross] = k * np.cos(phi) / cos_psi
+    direction = (-sweep.pole / P) * np.exp(1j * angle)
+    lo, hi = np.zeros_like(a), sweep.rho(direction)
+    chord_mid, chord_half = P * cos_psi, sweep.hole * np.cos(phi)
+    far = (u_mid[cross] > 1)[:, None]
+    lo[cross] = np.where(far, chord_mid + chord_half, 0.0)
+    hi[cross] = np.where(far, hi[cross], chord_mid - chord_half)
+    span = (hi - lo)[:, None, :]
+    r = lo[:, None, :] + (U - (u_mid > 1)[:, None, None]) * span
+    w = sweep.pole + r * direction[:, None, :]
+    return w, r * span * jac[:, None, :]
 
 
 def _eval_rects(
@@ -181,10 +229,25 @@ def _grid(u_bounds, th_bounds) -> np.ndarray:
 _INITIAL_RECTS = _grid(
     np.linspace(0.0, 1.0, _N_U + 1), [2 * math.pi * k / _N_THETA for k in range(_N_THETA + 1)]
 )
-# The annulus sweep's initial grid is measured, like the pole sweep's: the
-# coarsest that calibrates on solve-grid ops.  Its kernel is smooth on the
-# annulus: one radial times 2 angular panels.
+# The hole sweeps' initial grids are measured, like the pole sweep's: the
+# coarsest that calibrates on solve-grid ops.  The annulus sweep's kernel
+# is smooth on the annulus: one radial times 2 angular panels.
 _ANNULUS_RECTS = _grid([0.0, 1.0], [0.0, math.pi, 2 * math.pi])
+# the split sweep's crossing rays: their near and far segments, 2 panels in phi
+_CROSSING_RECTS = _grid([0.0, 1.0, 2.0], [-math.pi, -0.5 * math.pi, 0.0])
+
+
+# Past this k = hole/|pole| the pole sweep is cheaper: near the tangent rays
+# the split sweep's integrand varies on a scale of sqrt(2 (1 - k)) in phi
+_SPLIT_MAX_K = 0.99
+
+
+def _split_rects(k: float) -> np.ndarray:
+    """The split sweep's initial rects for k = hole/|pole|: 4 panels in
+    angle over the rays that miss the hole, then the crossing rays."""
+    edge = math.asin(k)
+    missing = _grid([0.0, 1.0], np.linspace(edge, 2 * math.pi - edge, 5))
+    return np.concatenate([missing, _CROSSING_RECTS])
 
 
 def _sweep(integrand: PlanarIntegrand, params: QuadratureParams) -> _Sweep:
@@ -192,13 +255,17 @@ def _sweep(integrand: PlanarIntegrand, params: QuadratureParams) -> _Sweep:
     none inside the disk; the exclusion stays within a quarter of the pole's
     distance to the support circle.  Without an exclusion, a pole inside
     the integrand's hole gets the annulus sweep about the origin, with the
-    hole's radius as its eps."""
+    hole's radius as its eps, and a pole in the annulus the split sweep
+    while k = hole/|pole| <= _SPLIT_MAX_K."""
     W = float(integrand.truncation_radius)
     hole = float(integrand.inner_radius)
     for a in map(complex, integrand.singular_points):
         if abs(a) < W * (1 - 1e-12):
-            if abs(a) < hole and not params.singular_exclusion:
-                return _Sweep(pole=0j, eps=hole, W=W, initial=_ANNULUS_RECTS)
+            if hole and not params.singular_exclusion:
+                if abs(a) < hole:
+                    return _Sweep(pole=0j, eps=hole, W=W, initial=_ANNULUS_RECTS)
+                if hole <= _SPLIT_MAX_K * abs(a):
+                    return _Sweep(a, 0.0, W, _split_rects(hole / abs(a)), hole=hole)
             eps = params.singular_exclusion or 0.0
             return _Sweep(pole=a, eps=min(eps, 0.25 * (W - abs(a))), W=W, initial=_INITIAL_RECTS)
     return _Sweep(pole=0j, eps=0.0, W=W, initial=_INITIAL_RECTS)

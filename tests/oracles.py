@@ -309,7 +309,15 @@ def rect_points_by_points(sweep, rects: np.ndarray):
     8 x 8 Gauss nodes of each rect (R, 4) = (u0, u1, th0, th1) gets its own
     direction exp(1j * theta) and boundary distance.  Returns w and the
     area factor r * span as flat (64 R,) arrays, radial node major within a
-    rect."""
+    rect.
+
+    Under the split sweep a node at angle a < 0 lies on a ray from the pole
+    that crosses the hole |w| < sweep.hole: the ray's angle from the
+    direction to the origin is psi = arcsin(k sin(a + pi/2)), k =
+    hole/|pole|, its crossings r1 < r2 solve |pole + r d| = hole, and u in
+    [0, 1] maps to [0, r1], u in [1, 2] to [r2, rho]; the area factor gains
+    dpsi/da = k cos(a + pi/2) / cos psi.  Other nodes are rays at angle a
+    from that direction over [0, rho]."""
     x = _GAUSS[0]
     u_mid = 0.5 * (rects[:, 0] + rects[:, 1])
     u_half = 0.5 * (rects[:, 1] - rects[:, 0])
@@ -319,10 +327,26 @@ def rect_points_by_points(sweep, rects: np.ndarray):
     U = np.broadcast_to(u_mid[:, None, None] + u_half[:, None, None] * x[None, :, None], shape)
     TH = np.broadcast_to(t_mid[:, None, None] + t_half[:, None, None] * x[None, None, :], shape)
     u, theta = U.reshape(-1), TH.reshape(-1)
-    direction = np.exp(1j * theta)
-    span = sweep.rho(direction) - sweep.eps
-    r = sweep.eps + u * span
-    return sweep.pole + r * direction, r * span
+    if not sweep.hole:
+        direction = np.exp(1j * theta)
+        span = sweep.rho(direction) - sweep.eps
+        r = sweep.eps + u * span
+        return sweep.pole + r * direction, r * span
+    P = abs(sweep.pole)
+    k = sweep.hole / P
+    cross = theta < 0
+    far = u > 1
+    psi = theta.copy()
+    psi[cross] = np.arcsin(k * np.sin(theta[cross] + math.pi / 2))
+    jac = np.ones_like(theta)
+    jac[cross] = k * np.cos(theta[cross] + math.pi / 2) / np.cos(psi[cross])
+    direction = -sweep.pole / P * np.exp(1j * psi)
+    c = np.real(np.conj(sweep.pole) * direction)
+    root = np.sqrt(np.maximum(c * c - P * P + sweep.hole ** 2, 0.0))
+    lo = np.where(cross & far, -c + root, 0.0)
+    hi = np.where(cross & ~far, -c - root, sweep.rho(direction))
+    r = lo + (u - far) * (hi - lo)
+    return sweep.pole + r * direction, r * (hi - lo) * jac
 
 
 def eval_rects_by_points(sweep, K, rects: np.ndarray, mass=None) -> np.ndarray:

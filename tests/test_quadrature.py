@@ -227,3 +227,54 @@ def test_panel_nodes_and_values_match_per_point_oracle(case):
     ref = eval_rects_by_points(sweep, K, rects)
     terms = eval_rects_by_points(sweep, lambda w: np.abs(K(w)), rects).real
     assert np.all(np.abs(got - ref) <= 1e-14 * terms)
+
+
+def _radial_shell(r_in, R):
+    """f(|u|) = ((|u|^2 - r_in^2)(R^2 - |u|^2))^3 on r_in <= |u| <= R, else 0,
+    with the exact integral of f(|u|)/(u - z) dA: -(2 pi / z) times the
+    integral of f(r) r dr over r < |z| (0 when z is in the hole)."""
+    a, b = r_in * r_in, R * R
+    # in s = r^2: f r dr = ((s - a)(b - s))^3 ds / 2
+    prim = (np.polynomial.Polynomial([-a, 1.0]) * np.polynomial.Polynomial([b, -1.0])) ** 3
+    prim = prim.integ()
+
+    def f(w):
+        s = np.abs(w) ** 2
+        return np.where((s >= a) & (s <= b), ((s - a) * (b - s)) ** 3, 0.0).astype(complex)
+
+    def exact(z):
+        s = min(abs(z) ** 2, b)
+        return 0j if s <= a else -2 * np.pi / z * 0.5 * (prim(s) - prim(a))
+
+    return f, exact, np.pi * (prim(b) - prim(a))  # the last: integral of f dA
+
+
+@pytest.mark.parametrize("k", [2.0, 1.0 + 1e-9, 0.3, 0.9, 0.98, 0.999, 1.0])
+def test_hole_sweeps_match_radial_exact_values(k):
+    # with k = r_in / |z|: a pole in the hole (k > 1) takes the annulus
+    # sweep, one in the annulus the split sweep up to k = 0.99 and the pole
+    # sweep beyond it, up to the hole's circle (k = 1)
+    r_in, R = 0.4, 1.5
+    f, exact, scale = _radial_shell(r_in, R)
+    z = r_in / k * np.exp(0.7j)
+    integrand = PlanarIntegrand(lambda w: f(w) / (w - z), (z,), R, r_in)
+    sweep = quadrature._sweep(integrand, TIGHT)
+    assert (sweep.pole, sweep.eps) == ((0j, r_in) if k > 1 else (z, 0.0))
+    assert sweep.hole == (r_in if k <= 0.99 else 0.0)
+    v, e = integrate_plane(integrand, TIGHT)
+    want = -2j * exact(z)
+    err = abs(v - want)
+    assert err <= 1e-10 * max(abs(want), scale) and e >= err, (k, v, want, e)
+
+
+def test_exclusion_ignores_inner_radius():
+    # an explicit exclusion keeps the pole sweep, bit for bit, whatever
+    # the hole
+    f, _, _ = _radial_shell(0.4, 1.5)
+    for z in (0.2 + 0.1j, 0.9 - 0.3j):
+        params = QuadratureParams(rel_tol=1e-8, abs_tol=1e-10, singular_exclusion=1e-3)
+        got = [
+            integrate_plane(PlanarIntegrand(lambda w: f(w) / (w - z), (z,), 1.5, hole), params)
+            for hole in (0.0, 0.4)
+        ]
+        assert got[0] == got[1]
