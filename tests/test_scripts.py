@@ -1,7 +1,8 @@
 """Every experiment script listed in README's "Experiment scripts" section
 imports the package and parses its options: `--help` exits 0.
 `scripts/op_digest.py --values` also runs one benchmark cycle, and
-`--configs` hashes the report of every `configs/*.json`."""
+`--configs` hashes the report of every `configs/*.json`;
+`scripts/est_calibration.py` calibrates one solve-grid cycle."""
 
 import ast
 import os
@@ -63,3 +64,21 @@ def test_op_digest_configs_hashes_every_config_report():
         got, digest = line.split()
         assert got == name and len(digest) == 64
     assert lines[-1].startswith("total 6 reports ") and len(lines[-1].split()[-1]) == 64
+
+
+def test_est_calibration_on_one_solve_grid_cycle():
+    # one row per |z| band: 7 ops each, none raised or failed, est >= err
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "est_calibration.py"), "--seeds", "1",
+         "--cycles", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:4] == ["band", "ops", "raised", "failed"]
+    assert [row.split()[0] for row in rows] == ["near", "mid", "far"]
+    for row in rows:
+        band, ops, raised, failed, min_ratio, median, max_err, floor_only = row.split()
+        assert (int(ops), int(raised), int(failed), int(floor_only)) == (7, 0, 0, 0)
+        assert 1.0 <= float(min_ratio) <= float(median) and float(max_err) >= 0.0
