@@ -32,6 +32,8 @@ class ZeroOneForm:
     def __post_init__(self):
         if self.support_radius <= 0:
             raise ValueError("support_radius must be positive")
+        if not 0 <= self.inner_radius < self.support_radius:
+            raise ValueError("need 0 <= inner_radius < support_radius")
 
     def coeff_matrix(self, pts) -> np.ndarray:
         """All coefficients at a batch of points: (N, n) -> (N, n) complex,

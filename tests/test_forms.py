@@ -156,3 +156,21 @@ def test_builtin_forms_give_complex_coefficients():
         vals = form.coeff_matrix(mixed)
         assert np.all(vals[~kept] == 0), name
         assert np.array_equal(vals[kept], form.coeff_matrix(mixed[kept])), name
+
+
+def test_inner_radius_promise():
+    # bump-dbar states r0 and vanishes on that closed ball, scale_form keeps
+    # the promise, forms without one state 0, and a radius outside
+    # [0, support_radius) is refused
+    bump = make_form("bump-dbar", 2, h_terms=[((0, 0), 1.0), ((1, 0), 0.5)], r0=0.3, radius=1.0)
+    assert bump.inner_radius == 0.3 and scale_form(2.0 - 1.0j, bump).inner_radius == 0.3
+    rng = np.random.default_rng(5)
+    dirs = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    P = 0.3 * np.sqrt(rng.uniform(0.0, 1.0, 500))[:, None] * dirs
+    assert np.all(bump.coeff_matrix(P) == 0)
+    assert make_form("raw-bump", 2, r0=0.3, radius=1.0).inner_radius == 0.0
+    assert zero_form(2).inner_radius == 0.0
+    for bad in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="inner_radius"):
+            ZeroOneForm(2, np.zeros_like, 1.0, 0.0, True, bad)
