@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotACone, NotOnVariety
 from .forms import ZeroOneForm, estimate_sup_bound
 from .quadrature import PlanarIntegrand, QuadratureParams, integrate_plane
-from .variety import Variety, Weights, contains, orbit_scale
+from .variety import Variety, Weights, contains, int_power, orbit_scale
 
 _TWO_PI_I = 2j * math.pi
 
@@ -44,21 +44,21 @@ def truncation_radius(weights: Weights, z: np.ndarray, support_radius: float) ->
 
     The kernel coefficients vanish for |w| > W because the form is supported
     in the ball of `support_radius`.  Closed form W = R/|z| for unit
-    weights, the orbit-scale bisection otherwise.  Returns 0 for z = 0.
+    weights, the orbit-scale search otherwise.  Returns 0 for z = 0.
     """
     z = np.asarray(z, dtype=np.complex128)
     if float(np.sum(np.abs(z) ** 2)) == 0.0:
         return 0.0
-    return _orbit_radius(weights, z, support_radius) * (1.0 + 1e-9)
+    return float(_orbit_radii(weights, z, (support_radius,))[0]) * (1.0 + 1e-9)
 
 
-def _orbit_radius(weights: Weights, z: np.ndarray, radius: float) -> float:
+def _orbit_radii(weights: Weights, z: np.ndarray, radii: tuple[float, ...]) -> np.ndarray:
     """|w| at which the orbit w^beta z of a nonzero z meets the sphere of
-    `radius`: radius/|z| for unit weights, the orbit-scale bisection
-    otherwise."""
+    each radius: radius/|z| for unit weights, one orbit-scale search with
+    a row per radius otherwise."""
     if weights.is_unit:
-        return radius / math.sqrt(float(np.sum(np.abs(z) ** 2)))
-    return float(orbit_scale(weights, z[None, :], radius)[0])
+        return np.asarray(radii) / math.sqrt(float(np.sum(np.abs(z) ** 2)))
+    return orbit_scale(weights, np.broadcast_to(z, (len(radii), z.size)), np.asarray(radii))
 
 
 def _check_point(variety: Variety, form: ZeroOneForm, z) -> np.ndarray:
@@ -92,20 +92,24 @@ def _solve(
     substitution of `solve_scaled` degenerates.
     """
     z = _check_point(variety, form, z)
-    if pole == 0:
+    if pole == 0 or float(np.sum(np.abs(z) ** 2)) == 0.0:
         return SolveResult(0j, 0.0, 0.0)
-    W = truncation_radius(variety.weights, z, form.support_radius)
-    if W == 0.0:
-        return SolveResult(0j, 0.0, 0.0)
+    # the truncation radius and the hole's orbit radius in one search
+    shells = (form.support_radius, form.inner_radius) if form.inner_radius else (form.support_radius,)
+    radii = _orbit_radii(variety.weights, z, shells)
+    W = float(radii[0]) * (1.0 + 1e-9)
+    inner = form.inner_radius and float(radii[1]) * (1.0 - 1e-9)
     beta = variety.weights.as_array()
     unit = variety.weights.is_unit
     live = [k for k in range(variety.ambient_dim) if z[k] != 0]
 
     # w ** 1 == w and a factor conj(w) ** 0 == 1 are exact, so unit weights
-    # skip those powers without changing a bit.  Each term stays one chained
+    # skip those powers without changing a bit, and `int_power` takes the
+    # scalar powers with numpy's bits.  Each term stays one chained
     # product: numpy writes `named * temporary` of a large batch into the
     # temporary with the operands swapped, and a complex product computed
-    # with fused multiply-adds is not bitwise commutative.
+    # with fused multiply-adds is not bitwise commutative.  m > 1 keeps
+    # `w ** m`, which numpy squares for m = 2.
     def K(w: np.ndarray) -> np.ndarray:
         F = form.coeff_matrix((w[:, None] if unit else w[:, None] ** beta[None, :]) * z[None, :])
         wc = np.conj(w)
@@ -114,14 +118,11 @@ def _solve(
             if beta[k] == 1:
                 acc += beta[k] * F[:, k] * np.conj(z[k])
             else:
-                acc += beta[k] * F[:, k] * wc ** (beta[k] - 1) * np.conj(z[k])
+                acc += beta[k] * F[:, k] * int_power(wc, beta[k] - 1) * np.conj(z[k])
         if m:
-            acc = acc * w ** m
+            acc = acc * (int_power(w, 1) if m == 1 else w ** m)
         return acc / (w - pole)
 
-    inner = form.inner_radius and (
-        _orbit_radius(variety.weights, z, form.inner_radius) * (1.0 - 1e-9)
-    )
     integrand = PlanarIntegrand(K, (pole,), W, inner)
     raw, est = integrate_plane(integrand, params)
     return SolveResult(raw / _TWO_PI_I, est / (2 * math.pi), W)

@@ -17,7 +17,7 @@ import numpy as np
 from dbarcone import measure
 from dbarcone.charts import slice_tangents
 from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
-from dbarcone.solver import SolveResult, _orbit_radius, truncation_radius
+from dbarcone.solver import SolveResult
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -276,13 +276,18 @@ def solve_general_kernel(variety, form, z, params, pole: complex = 1.0 + 0j, m: 
     """Reference for solver._solve at a nonzero z and pole: the kernel with
     w ** beta and conj(w) ** (beta_k - 1) taken for every weight, unit ones
     included, and the support cutoff applied by gathering the inside rows
-    and scattering the field's values into zeros.  The integrand states the
-    same inner radius as the solver's."""
+    and scattering the field's values into zeros.  W and the inner radius
+    are the orbit radii of the support and inner radii, times 1 + 1e-9 and
+    1 - 1e-9: R/|z| for unit weights, `orbit_scale_by_rows` otherwise."""
     z = np.asarray(z, dtype=np.complex128)
-    W = truncation_radius(variety.weights, z, form.support_radius)
-    inner = form.inner_radius and (
-        _orbit_radius(variety.weights, z, form.inner_radius) * (1.0 - 1e-9)
-    )
+
+    def orbit_radius(radius: float) -> float:
+        if variety.weights.is_unit:
+            return radius / math.sqrt(float(np.sum(np.abs(z) ** 2)))
+        return float(orbit_scale_by_rows(variety.weights, z[None, :], radius)[0])
+
+    W = orbit_radius(form.support_radius) * (1.0 + 1e-9)
+    inner = form.inner_radius and orbit_radius(form.inner_radius) * (1.0 - 1e-9)
     beta = variety.weights.as_array()
     live = [k for k in range(variety.ambient_dim) if z[k] != 0]
 

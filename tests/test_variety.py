@@ -14,6 +14,7 @@ from dbarcone.variety import (
     act,
     contains,
     contains_batch,
+    int_power,
     is_regular,
     newton_steps,
     orbit_scale,
@@ -270,6 +271,78 @@ def test_orbit_scale_matches_row_bisection(make):
 def test_orbit_scale_overflow_guard():
     with pytest.raises(OverflowError):
         orbit_scale(Weights((3, 2)), np.array([[1e-60, 1e-60]]), 1.0)
+
+
+@pytest.mark.parametrize("entries", [(3, 2), (3, 4, 5), (1, 2), (2, 3, 7)])
+def test_orbit_scale_per_row_targets_match_row_bisection(entries):
+    # the Newton-bracketed search returns the row bisection's bits for one
+    # target per row, for the solver's two-row call (W and the hole), and
+    # for rows whose bracket misses: under weights (3, 4, 5), (1, 2) and
+    # (2, 3, 7) three Newton steps leave 2, 8 and 6 of these 64 rows more
+    # than 1e-13 above t, so their lo restarts from 0.  Zero coordinates
+    # and amplitudes near 1e+-150 are included, the huge one on the
+    # largest weight: t stays above 2^-146, where 200 bisection steps from
+    # [0, 1] reach adjacent floats.
+    w = Weights(entries)
+    n = w.n
+    rng = np.random.default_rng(75)
+    pts = (rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))) / np.sqrt(2)
+    pts *= 10.0 ** rng.uniform(-3, 1, 60)[:, None]
+    pts[:10, 0] = 0
+    pts[10:20, -1] = 0
+    top = int(np.argmax(entries))
+    hand = np.ones((4, n), dtype=np.complex128)
+    hand[1], hand[1, top] = 1e-75, 1e75
+    hand[2, top] = 1e-75
+    hand[3, 1:] = 0
+    pts = np.concatenate([pts, hand])
+    targets = 10.0 ** rng.uniform(-2, 1.7, len(pts))
+    t = orbit_scale(w, pts, targets)
+    ref = np.array([orbit_scale_by_rows(w, z[None, :], r)[0] for z, r in zip(pts, targets)])
+    assert np.array_equal(t, ref)
+    norms = np.linalg.norm(act(t, w, pts), axis=1)
+    assert np.allclose(norms, targets, rtol=1e-12)
+    for z in pts[::7]:
+        two = orbit_scale(w, np.stack([z, z]), np.array([1.0, 0.3]))
+        assert np.array_equal(two, [orbit_scale_by_rows(w, z[None, :], r)[0] for r in (1.0, 0.3)])
+
+
+def _bits(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return np.stack([a.real.view(np.int64), a.imag.view(np.int64)])
+
+
+def test_int_power_matches_numpy_integer_power():
+    # the bits of numpy's integer-power loop, as a numpy-int or an array
+    # exponent takes it (a Python-int 2 squares instead), on signed zeros,
+    # subnormal, tiny, huge, infinite and nan bases, always in a fresh array
+    rng = np.random.default_rng(76)
+    w = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 10.0 ** rng.uniform(-200, 200, 400)
+    special = [complex(x, y) for x in (0.0, -0.0, 5e-324, -1e-170, 1e150, -1e300)
+               for y in (0.0, -0.0, 1e-170, -1e160, 1e300)]
+    special += [complex(np.inf, 1.0), complex(1.0, -np.inf), complex(np.nan, 0.0)]
+    w = np.concatenate([w, special])
+    with np.errstate(all="ignore"):
+        for n in range(0, 8):
+            out = int_power(w, n)
+            assert out is not w and not np.shares_memory(out, w)
+            assert np.array_equal(_bits(out), _bits(w ** np.int64(n)))
+            assert np.array_equal(_bits(out), _bits((w[:, None] ** np.array([n]))[:, 0]))
+            if n != 2:
+                assert np.array_equal(_bits(out), _bits(w ** n))
+    # above 256 KiB numpy computes `acc * temporary` into the temporary with
+    # the operands swapped; the helper's fresh result keeps those bits
+    big = rng.standard_normal(40000) + 1j * rng.standard_normal(40000)
+    acc = rng.standard_normal(40000) + 1j * rng.standard_normal(40000)
+    for m in (1, 3, 5):
+        assert np.array_equal(_bits(acc * int_power(big, m)), _bits(acc * big ** np.int64(m)))
+    assert np.array_equal(_bits(acc * int_power(big, 1)), _bits(acc * big ** 1))
+
+
+def test_orbit_scale_zero_row_raises():
+    # a zero row's norm never reaches the target: its search overflows
+    with pytest.raises(OverflowError):
+        orbit_scale(Weights((3, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 @pytest.mark.parametrize("make", MERGED_FIXTURES)
