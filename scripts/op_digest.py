@@ -13,9 +13,10 @@ A change that moves last bits then states its largest move from two
 outputs.
 
 With `--configs` it instead runs every `configs/*.json` with
-`--reproducible` into a temporary directory and prints `name sha256` per
-report and a last line hashing all of them, so "the config reports are
-byte-identical" is one `diff` of two checkouts' outputs.
+`--reproducible` into a temporary directory and prints `name sha256 sha256`
+per config, hashing its JSON report and that report's `--format csv`
+projection, and a last line hashing all of them, so "the JSON and CSV config
+reports are byte-identical" is one `diff` of two checkouts' outputs.
 
 Usage: python scripts/op_digest.py --workload W --seed S [--cycles C] [--values]
        python scripts/op_digest.py --configs
@@ -47,16 +48,21 @@ def headline(result) -> str:
 
 
 def digest_configs() -> None:
-    """Run every configs/*.json reproducibly and print one sha256 per report."""
-    from dbarcone.cli import main as cli_main
+    """Run every configs/*.json reproducibly and print two sha256 per report:
+    the JSON report `dbar-cone run --reproducible` writes, then its CSV
+    projection, written from the same report so no job runs twice."""
+    from dbarcone.cli import _write_report, parse_config, run
 
     total = hashlib.sha256()
     paths = sorted((ROOT / "configs").glob("*.json"))
     with tempfile.TemporaryDirectory() as tmp:
         for path in paths:
-            out = Path(tmp) / f"{path.stem}.report"
-            cli_main(["run", str(path), "--reproducible", "--out", str(out)])
-            line = f"{path.stem} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+            json_out, csv_out = Path(tmp) / f"{path.stem}.json", Path(tmp) / f"{path.stem}.csv"
+            config = parse_config(path.read_text(encoding="utf-8"))
+            _, report = run(config, out_path=str(json_out), out_format="json", reproducible=True)
+            _write_report(report, str(csv_out), "csv")
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (json_out, csv_out)]
+            line = " ".join([path.stem, *digests])
             print(line, flush=True)
             total.update(line.encode() + b"\n")
     print(f"total {len(paths)} reports {total.hexdigest()}")

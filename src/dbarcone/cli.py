@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Any, Optional
 
@@ -42,25 +42,6 @@ from .solver import (
 )
 from .variety import SparsePolynomial, Variety, Weights, weighted_degree
 from .verify import dbar_residual, holder_report, l2_report, measure_scaling_check
-
-_JOB_TYPES = ("solve", "residual", "holder", "l2", "scaling", "theta-crosscheck")
-
-_QUAD_DEFAULTS = {
-    "rel_tol": 1e-8,
-    "abs_tol": 1e-11,
-    "max_refinement_depth": 14,
-    "singular_exclusion": None,
-    "max_panels": 24000,
-}
-
-_JOB_KEYS = {
-    "solve": {"type", "points"},
-    "residual": {"type", "anchors", "samples", "fd_step", "operator"},
-    "holder": {"type", "theta", "radius", "pairs", "scales"},
-    "l2": {"type", "radius", "samples"},
-    "scaling": {"type", "radii", "samples", "integrand"},
-    "theta-crosscheck": {"type", "points"},
-}
 
 
 @dataclass(frozen=True)
@@ -115,21 +96,92 @@ def _number(obj, path, minimum=None, integer=False, maximum=None):
     return int(obj) if integer else float(obj)
 
 
-def _parse_terms(obj, n: int, path: str) -> list:
+def _section(obj, table: dict, path: str, n: int) -> dict:
+    """Parse a config object against its field table {key: (default,
+    parser)}: unknown keys are rejected and absent keys take their default.
+    Each parser takes (value, path, n), with n the ambient dimension, and
+    returns the normalized value or raises ValidationError naming `path`;
+    the values are parsed in table order."""
+    _require_keys(obj, set(table), path)
+    return {
+        key: parse(obj.get(key, default), f"{path}.{key}", n)
+        for key, (default, parse) in table.items()
+    }
+
+
+# the job's type and the form's builtin pick the table, so they are checked first
+_TAG = (None, lambda v, path, n: v)
+
+
+def _count(minimum):
+    return lambda v, path, n: _number(v, path, minimum=minimum, integer=True)
+
+
+def _real(minimum=None, maximum=None):
+    return lambda v, path, n: _number(v, path, minimum=minimum, maximum=maximum)
+
+
+def _choice(*options):
+    def parse(v, path, n):
+        if v not in options:
+            _fail(path, "must be " + " or ".join(map(repr, options)))
+        return v
+    return parse
+
+
+def _optional(parse):
+    return lambda v, path, n: None if v is None else parse(v, path, n)
+
+
+def _string(v, path, n):
+    if not isinstance(v, str):
+        _fail(path, "expected a string")
+    return v
+
+
+def _reals(min_len: int, message: str):
+    def parse(v, path, n):
+        if not isinstance(v, list) or len(v) < min_len:
+            _fail(path, message)
+        return [_number(x, f"{path}[{i}]", minimum=1e-12) for i, x in enumerate(v)]
+    return parse
+
+
+def _radii(v, path, n):
+    radii = _reals(2, "expected a list of at least 2 radii")(v, path, n)
+    if len(set(radii)) < len(radii):
+        _fail(path, "radii must be pairwise distinct")
+    return radii
+
+
+_COMPLEX = {"re": (0.0, _real()), "im": (0.0, _real())}
+
+
+def _points(v, path, n):
+    if not isinstance(v, list) or not v:
+        _fail(path, "expected a non-empty list of points")
+    points = []
+    for i, pt in enumerate(v):
+        if not isinstance(pt, list) or len(pt) != n:
+            _fail(f"{path}[{i}]", f"expected {n} coordinates")
+        points.append([_section(c, _COMPLEX, f"{path}[{i}][{j}]", n) for j, c in enumerate(pt)])
+    return points
+
+
+def _exponents(v, path, n):
+    if not isinstance(v, list) or len(v) != n:
+        _fail(path, f"expected a list of {n} integers")
+    return tuple(_number(e, f"{path}[{j}]", minimum=0, integer=True) for j, e in enumerate(v))
+
+
+_TERM = {"exponents": (None, _exponents), **_COMPLEX}
+
+
+def _parse_terms(obj, path: str, n: int) -> list:
     if not isinstance(obj, list) or not obj:
         _fail(path, "expected a non-empty list of terms")
-    terms = []
-    for i, term in enumerate(obj):
-        tp = f"{path}[{i}]"
-        _require_keys(term, {"exponents", "re", "im"}, tp)
-        exps = term.get("exponents")
-        if not isinstance(exps, list) or len(exps) != n:
-            _fail(f"{tp}.exponents", f"expected a list of {n} integers")
-        exps = [_number(e, f"{tp}.exponents[{j}]", minimum=0, integer=True) for j, e in enumerate(exps)]
-        re = _number(term.get("re", 0.0), f"{tp}.re")
-        im = _number(term.get("im", 0.0), f"{tp}.im")
-        terms.append((tuple(exps), complex(re, im)))
-    return terms
+    terms = [_section(term, _TERM, f"{path}[{i}]", n) for i, term in enumerate(obj)]
+    return [(t["exponents"], complex(t["re"], t["im"])) for t in terms]
 
 
 def _parse_variety(obj, path: str):
@@ -154,7 +206,7 @@ def _parse_variety(obj, path: str):
     polys = []
     w = Weights(tuple(weights))
     for i, spec in enumerate(polys_spec):
-        terms = _parse_terms(spec, n, f"{path}.polynomials[{i}]")
+        terms = _parse_terms(spec, f"{path}.polynomials[{i}]", n)
         poly = SparsePolynomial.from_terms(n, terms)
         try:
             weighted_degree(poly, w)
@@ -179,95 +231,49 @@ def _parse_variety(obj, path: str):
     return normalized, variety
 
 
+_RADIUS = (1.0, _real(1e-12))
+_FORMS = {
+    "zero": {"radius": _RADIUS},
+    "bump-dbar": {"radius": _RADIUS, "r0": (0.3, _real(0.0)), "h": (None, _optional(_parse_terms))},
+    "raw-bump": {"radius": _RADIUS, "r0": (0.3, _real(0.0))},
+}
+
+
 def _parse_form(obj, n: int, path: str):
-    _require_keys(obj, {"builtin", "h", "r0", "radius"}, path)
+    _require_keys(obj, {"builtin"}.union(*_FORMS.values()), path)  # keys no builtin takes
     name = obj.get("builtin")
     if name not in FORM_BUILTINS:
         _fail(f"{path}.builtin", f"unknown builtin {name!r}; available: {FORM_BUILTINS}")
-    radius = _number(obj.get("radius", 1.0), f"{path}.radius", minimum=1e-12)
-    r0 = _number(obj.get("r0", 0.3), f"{path}.r0", minimum=0.0)
-    spec = {"builtin": name, "radius": radius}
-    kwargs: dict[str, Any] = {"radius": radius}
-    if name in ("bump-dbar", "raw-bump"):
-        if r0 <= 0:
-            _fail(f"{path}.r0", "must be > 0")
-        if r0 >= radius:
-            _fail(f"{path}.r0", "must be smaller than radius")
-        kwargs["r0"] = r0
-        spec["r0"] = r0
-    if name == "bump-dbar" and "h" in obj and obj["h"] is not None:
-        terms = _parse_terms(obj["h"], n, f"{path}.h")
-        kwargs["h_terms"] = terms
-        spec["h"] = [
-            {"exponents": list(e), "re": c.real, "im": c.imag} for e, c in terms
-        ]
-    elif "h" in obj and obj["h"] is not None:
-        _fail(f"{path}.h", f"only the bump-dbar builtin accepts an h polynomial")
-    form = make_form(name, n, **kwargs)
+    spec = _section(obj, {"builtin": _TAG, **_FORMS[name]}, path, n)
+    if "r0" in spec and spec["r0"] <= 0:
+        _fail(f"{path}.r0", "must be > 0")
+    if "r0" in spec and spec["r0"] >= spec["radius"]:
+        _fail(f"{path}.r0", "must be smaller than radius")
+    terms = spec.pop("h", None)
+    form = make_form(name, n, h_terms=terms, **{k: v for k, v in spec.items() if k != "builtin"})
+    if terms is not None:
+        spec["h"] = [{"exponents": list(e), "re": c.real, "im": c.imag} for e, c in terms]
     return spec, form
 
 
 def _parse_job(obj, n: int, path: str) -> dict:
     if not isinstance(obj, dict) or "type" not in obj:
         _fail(path, "expected an object with a 'type' key")
-    jt = obj["type"]
-    if jt not in _JOB_TYPES:
-        _fail(f"{path}.type", f"unknown job type {jt!r}; available: {_JOB_TYPES}")
-    _require_keys(obj, _JOB_KEYS[jt], path)
-    out = {"type": jt}
-    if jt == "solve":
-        pts = obj.get("points")
-        if not isinstance(pts, list) or not pts:
-            _fail(f"{path}.points", "expected a non-empty list of points")
-        norm_pts = []
-        for i, pt in enumerate(pts):
-            if not isinstance(pt, list) or len(pt) != n:
-                _fail(f"{path}.points[{i}]", f"expected {n} coordinates")
-            coords = []
-            for j, c in enumerate(pt):
-                _require_keys(c, {"re", "im"}, f"{path}.points[{i}][{j}]")
-                coords.append(
-                    {
-                        "re": _number(c.get("re", 0.0), f"{path}.points[{i}][{j}].re"),
-                        "im": _number(c.get("im", 0.0), f"{path}.points[{i}][{j}].im"),
-                    }
-                )
-            norm_pts.append(coords)
-        out["points"] = norm_pts
-    elif jt == "residual":
-        out["anchors"] = _number(obj.get("anchors", 3), f"{path}.anchors", minimum=1, integer=True)
-        out["samples"] = _number(obj.get("samples", 20), f"{path}.samples", minimum=1, integer=True)
-        out["fd_step"] = _number(obj.get("fd_step", 1e-4), f"{path}.fd_step", minimum=1e-10)
-        op = obj.get("operator", "main")
-        if op not in ("main", "l2"):
-            _fail(f"{path}.operator", "must be 'main' or 'l2'")
-        out["operator"] = op
-    elif jt == "holder":
-        out["theta"] = _number(obj.get("theta", 0.5), f"{path}.theta", minimum=1e-6, maximum=1 - 1e-6)
-        out["radius"] = _number(obj.get("radius", 1.0), f"{path}.radius", minimum=1e-12)
-        out["pairs"] = _number(obj.get("pairs", 24), f"{path}.pairs", minimum=1, integer=True)
-        scales = obj.get("scales", [1.0, 0.1, 0.01])
-        if not isinstance(scales, list) or not scales:
-            _fail(f"{path}.scales", "expected a non-empty list of scale factors")
-        out["scales"] = [_number(s, f"{path}.scales[{i}]", minimum=1e-12) for i, s in enumerate(scales)]
-    elif jt == "l2":
-        out["radius"] = _number(obj.get("radius", 1.0), f"{path}.radius", minimum=1e-12)
-        out["samples"] = _number(obj.get("samples", 1000), f"{path}.samples", minimum=16, integer=True)
-    elif jt == "scaling":
-        radii = obj.get("radii", [0.5, 1.0, 2.0])
-        if not isinstance(radii, list) or len(radii) < 2:
-            _fail(f"{path}.radii", "expected a list of at least 2 radii")
-        out["radii"] = [_number(r, f"{path}.radii[{i}]", minimum=1e-12) for i, r in enumerate(radii)]
-        if len(set(out["radii"])) < len(out["radii"]):
-            _fail(f"{path}.radii", "radii must be pairwise distinct")
-        out["samples"] = _number(obj.get("samples", 20000), f"{path}.samples", minimum=100, integer=True)
-        integrand = obj.get("integrand", "norm2")
-        if integrand not in ("norm2", "one"):
-            _fail(f"{path}.integrand", "must be 'norm2' or 'one'")
-        out["integrand"] = integrand
-    elif jt == "theta-crosscheck":
-        out["points"] = _number(obj.get("points", 10), f"{path}.points", minimum=1, integer=True)
-    return out
+    types = tuple(_JOBS)
+    if obj["type"] not in types:
+        _fail(f"{path}.type", f"unknown job type {obj['type']!r}; available: {types}")
+    return _section(obj, {"type": _TAG, **_JOBS[obj["type"]][0]}, path, n)
+
+
+_QUADRATURE = {
+    "rel_tol": (1e-8, _real(0.0)),
+    "abs_tol": (1e-11, _real(0.0)),
+    "max_refinement_depth": (14, _count(1)),
+    "singular_exclusion": (None, _optional(_real(0.0))),
+    "max_panels": (24000, _count(1)),
+}
+_MONTE_CARLO = {"anchors": (24, _count(1))}
+_OUTPUT = {"path": (None, _optional(_string)), "format": ("json", _choice("json", "csv"))}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -290,37 +296,14 @@ def parse_config(text: str) -> RunConfig:
     n = variety.ambient_dim
     form_spec, form = _parse_form(raw["form"], n, "form")
     job = _parse_job(raw["job"], n, "job")
-    quad = dict(_QUAD_DEFAULTS)
-    if "quadrature" in raw:
-        _require_keys(raw["quadrature"], set(_QUAD_DEFAULTS), "quadrature")
-        for k, v in raw["quadrature"].items():
-            if k == "singular_exclusion":
-                quad[k] = None if v is None else _number(v, f"quadrature.{k}", minimum=0.0)
-            elif k in ("max_refinement_depth", "max_panels"):
-                quad[k] = _number(v, f"quadrature.{k}", minimum=1, integer=True)
-            else:
-                quad[k] = _number(v, f"quadrature.{k}", minimum=0.0)
+    quad = _section(raw.get("quadrature", {}), _QUADRATURE, "quadrature", n)
     try:
         params = QuadratureParams(**quad)
     except ValueError as exc:
         _fail("quadrature", str(exc))
-    mc = {"anchors": 24}
-    if "monte_carlo" in raw:
-        _require_keys(raw["monte_carlo"], {"anchors"}, "monte_carlo")
-        if "anchors" in raw["monte_carlo"]:
-            mc["anchors"] = _number(raw["monte_carlo"]["anchors"], "monte_carlo.anchors", minimum=1, integer=True)
+    mc = _section(raw.get("monte_carlo", {}), _MONTE_CARLO, "monte_carlo", n)
     seed = _number(raw.get("seed", 0), "seed", minimum=0, integer=True)
-    output = {"path": None, "format": "json"}
-    if "output" in raw:
-        _require_keys(raw["output"], {"path", "format"}, "output")
-        if "path" in raw["output"]:
-            if raw["output"]["path"] is not None and not isinstance(raw["output"]["path"], str):
-                _fail("output.path", "expected a string")
-            output["path"] = raw["output"]["path"]
-        if "format" in raw["output"]:
-            if raw["output"]["format"] not in ("json", "csv"):
-                _fail("output.format", "must be 'json' or 'csv'")
-            output["format"] = raw["output"]["format"]
+    output = _section(raw.get("output", {}), _OUTPUT, "output", n)
     return RunConfig(
         variety_spec=variety_spec,
         form_spec=form_spec,
@@ -347,138 +330,148 @@ def _point_cols(prefix: str, z) -> dict:
     return out
 
 
-def _run_job(config: RunConfig, seed: int):
-    variety, form, params = config.variety, config.form, config.params
-    job = config.job
-    jt = job["type"]
-    table: list[dict] = []
-    results: dict[str, Any] = {}
-    if jt == "solve":
-        for row in job["points"]:
-            z = np.array([complex(c["re"], c["im"]) for c in row])
-            res = solve(variety, form, z, params)
-            table.append(
-                {
-                    **_point_cols("z", z),
-                    "value_re": res.value.real,
-                    "value_im": res.value.imag,
-                    "quadrature_error": res.quadrature_error,
-                    "truncation_radius": res.truncation_radius_used,
-                }
-            )
-        results["n_points"] = len(table)
-    elif jt == "residual":
-        anchors = sample_link(variety, job["anchors"], seed).points
-        per = max(1, job["samples"] // job["anchors"])
-        op = job["operator"]
-        if op == "l2":
-            handle = lambda z: solve_l2(variety, form, z, params).value  # noqa: E731
-        else:
-            handle = lambda z: solve(variety, form, z, params).value  # noqa: E731
-        all_vals = []
-        for i, xi in enumerate(anchors):
-            rep = dbar_residual(
-                variety, form, handle, xi, per, job["fd_step"],
-                rng_seed=seed + 101 * i, check_step=(i == 0),
-            )
-            for smp in rep.samples:
-                row = {
-                    "anchor": i,
-                    "s_re": smp.s.real,
-                    "s_im": smp.s.imag,
-                    "residual_s": smp.residual_s,
-                }
-                for j, rx in enumerate(smp.residual_x):
-                    row[f"residual_x{j}"] = rx
-                table.append(row)
-            all_vals.extend(rep.all_residuals())
-        results["operator"] = op
-        results["max_residual"] = float(np.max(all_vals))
-        results["median_residual"] = float(np.median(all_vals))
-        results["fd_step"] = job["fd_step"]
-    elif jt == "holder":
-        rep = holder_report(
-            variety, form, job["theta"], job["radius"], job["pairs"], seed,
-            params=params, scale_factors=tuple(job["scales"]),
-        )
-        for p in rep.pairs:
-            table.append(
-                {
-                    **_point_cols("z", p.z),
-                    **_point_cols("w", p.w),
-                    "kind": p.kind,
-                    "scale": p.scale,
-                    "dist_upper": p.dist_upper,
-                    "dist_chord": p.dist_chord,
-                    "delta_g": p.delta_g,
-                    "ratio_upper": p.ratio_upper,
-                    "ratio_chord": p.ratio_chord,
-                }
-            )
-        results["theta"] = rep.theta
-        results["empirical_constant"] = rep.empirical_constant
-        results["sup_bound"] = rep.sup_bound
-        results["n_pairs"] = len(rep.pairs)
-    elif jt == "l2":
-        rep = l2_report(variety, form, job["radius"], job["samples"], seed,
-                        params=params, n_anchors=config.monte_carlo["anchors"])
-        results.update(
+def _fields(report, *skip) -> dict:
+    """A report dataclass as a flat dict in field order, less `skip`, NaN as None."""
+    row = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+
+
+def _run_solve(config: RunConfig, seed: int):
+    table = []
+    for row in config.job["points"]:
+        z = np.array([complex(c["re"], c["im"]) for c in row])
+        res = solve(config.variety, config.form, z, config.params)
+        table.append(
             {
-                "g_norm": rep.g_norm,
-                "g_std_error": rep.g_std_error,
-                "lambda_norm": rep.lambda_norm,
-                "lambda_std_error": rep.lambda_std_error,
-                "ratio": None if math.isnan(rep.ratio) else rep.ratio,
-                "ratio_std_error": None if math.isnan(rep.ratio_std_error) else rep.ratio_std_error,
-                "degenerate": rep.degenerate,
-                "newton_failures": rep.newton_failures,
-                "coverage_gaps": rep.coverage_gaps,
+                **_point_cols("z", z),
+                "value_re": res.value.real,
+                "value_im": res.value.imag,
+                "quadrature_error": res.quadrature_error,
+                "truncation_radius": res.truncation_radius_used,
             }
         )
-        table.append({k: v for k, v in results.items() if v is not None})
-    elif jt == "scaling":
-        rep = measure_scaling_check(
-            variety, job["radii"], job["samples"], seed,
-            integrand=job["integrand"], n_anchors=config.monte_carlo["anchors"],
+    return {"n_points": len(table)}, table
+
+
+def _run_residual(config: RunConfig, seed: int):
+    variety, form, params, job = config.variety, config.form, config.params, config.job
+    anchors = sample_link(variety, job["anchors"], seed).points
+    per = max(1, job["samples"] // job["anchors"])
+    op = job["operator"]
+    solver = solve_l2 if op == "l2" else solve
+    handle = lambda z: solver(variety, form, z, params).value  # noqa: E731
+    table, all_vals = [], []
+    for i, xi in enumerate(anchors):
+        rep = dbar_residual(
+            variety, form, handle, xi, per, job["fd_step"],
+            rng_seed=seed + 101 * i, check_step=(i == 0),
         )
-        for row in rep.rows:
-            table.append(
-                {"radius": row.radius, "value": row.value, "std_error": row.std_error,
-                 "newton_failures": row.newton_failures, "coverage_gaps": row.coverage_gaps}
-            )
-        results["integrand"] = rep.integrand
-        results["exponent"] = rep.exponent
-        results["exponent_std_error"] = rep.exponent_std_error
-        results["expected_exponent"] = rep.expected_exponent
-    elif jt == "theta-crosscheck":
-        cone = theta_cone(variety)
-        link = sample_link(cone, job["points"], seed)
-        rng = np.random.default_rng(seed + 7)
-        radius = 0.45 * form.support_radius
-        worst = 0.0
-        for i in range(job["points"]):
-            z = link.points[i] / np.linalg.norm(link.points[i])
-            z = z * radius * (0.3 + 0.7 * rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-            x = theta_map(variety.weights, z)
-            rep = solve_weighted_via_cone(variety, form, x, params, cone_point=z)
-            diff = abs(rep.direct.value - rep.via_cone.value)
-            rel = diff / (1.0 + abs(rep.via_cone.value))
-            worst = max(worst, rel)
-            table.append(
-                {
-                    **_point_cols("z", z),
-                    **_point_cols("x", x),
-                    "h_re": rep.direct.value.real,
-                    "h_im": rep.direct.value.imag,
-                    "g_re": rep.via_cone.value.real,
-                    "g_im": rep.via_cone.value.imag,
-                    "abs_diff": diff,
-                    "rel_diff": rel,
-                }
-            )
-        results["worst_rel_diff"] = worst
-        results["n_points"] = len(table)
+        for smp in rep.samples:
+            row = {
+                "anchor": i,
+                "s_re": smp.s.real,
+                "s_im": smp.s.imag,
+                "residual_s": smp.residual_s,
+            }
+            for j, rx in enumerate(smp.residual_x):
+                row[f"residual_x{j}"] = rx
+            table.append(row)
+        all_vals.extend(rep.all_residuals())
+    results = {
+        "operator": op,
+        "max_residual": float(np.max(all_vals)),
+        "median_residual": float(np.median(all_vals)),
+        "fd_step": job["fd_step"],
+    }
     return results, table
+
+
+def _run_holder(config: RunConfig, seed: int):
+    job = config.job
+    rep = holder_report(
+        config.variety, config.form, job["theta"], job["radius"], job["pairs"], seed,
+        params=config.params, scale_factors=tuple(job["scales"]),
+    )
+    table = [
+        {**_point_cols("z", p.z), **_point_cols("w", p.w), **_fields(p, "z", "w")}
+        for p in rep.pairs
+    ]
+    return {**_fields(rep, "radius", "pairs"), "n_pairs": len(rep.pairs)}, table
+
+
+def _run_l2(config: RunConfig, seed: int):
+    rep = l2_report(config.variety, config.form, config.job["radius"], config.job["samples"],
+                    seed, params=config.params, n_anchors=config.monte_carlo["anchors"])
+    results = _fields(rep, "radius", "n_samples")
+    return results, [{k: v for k, v in results.items() if v is not None}]
+
+
+def _run_scaling(config: RunConfig, seed: int):
+    rep = measure_scaling_check(
+        config.variety, config.job["radii"], config.job["samples"], seed,
+        integrand=config.job["integrand"], n_anchors=config.monte_carlo["anchors"],
+    )
+    return _fields(rep, "rows"), [_fields(row) for row in rep.rows]
+
+
+def _run_theta_crosscheck(config: RunConfig, seed: int):
+    variety, form, n_points = config.variety, config.form, config.job["points"]
+    cone = theta_cone(variety)
+    link = sample_link(cone, n_points, seed)
+    rng = np.random.default_rng(seed + 7)
+    radius = 0.45 * form.support_radius
+    worst = 0.0
+    table = []
+    for i in range(n_points):
+        z = link.points[i] / np.linalg.norm(link.points[i])
+        z = z * radius * (0.3 + 0.7 * rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+        x = theta_map(variety.weights, z)
+        rep = solve_weighted_via_cone(variety, form, x, config.params, cone_point=z)
+        diff = abs(rep.direct.value - rep.via_cone.value)
+        rel = diff / (1.0 + abs(rep.via_cone.value))
+        worst = max(worst, rel)
+        table.append(
+            {
+                **_point_cols("z", z),
+                **_point_cols("x", x),
+                "h_re": rep.direct.value.real,
+                "h_im": rep.direct.value.imag,
+                "g_re": rep.via_cone.value.real,
+                "g_im": rep.via_cone.value.imag,
+                "abs_diff": diff,
+                "rel_diff": rel,
+            }
+        )
+    return {"worst_rel_diff": worst, "n_points": len(table)}, table
+
+
+# job type -> (field table, runner); a runner returns (results, table rows)
+_JOBS = {
+    "solve": ({"points": (None, _points)}, _run_solve),
+    "residual": ({
+        "anchors": (3, _count(1)),
+        "samples": (20, _count(1)),  # a total: each anchor gets samples // anchors, at least 1
+        "fd_step": (1e-4, _real(1e-10)),
+        "operator": ("main", _choice("main", "l2")),
+    }, _run_residual),
+    "holder": ({
+        "theta": (0.5, _real(1e-6, 1 - 1e-6)),
+        "radius": _RADIUS,
+        "pairs": (24, _count(1)),
+        "scales": ([1.0, 0.1, 0.01], _reals(1, "expected a non-empty list of scale factors")),
+    }, _run_holder),
+    "l2": ({"radius": _RADIUS, "samples": (1000, _count(16))}, _run_l2),
+    "scaling": ({
+        "radii": ([0.5, 1.0, 2.0], _radii),
+        "samples": (20000, _count(100)),
+        "integrand": ("norm2", _choice("norm2", "one")),
+    }, _run_scaling),
+    "theta-crosscheck": ({"points": (10, _count(1))}, _run_theta_crosscheck),
+}
+
+
+def _run_job(config: RunConfig, seed: int):
+    return _JOBS[config.job["type"]][1](config, seed)
 
 
 def run(

@@ -354,3 +354,87 @@ def test_shipped_config_checks(path, capsys):
     parse_config(path.read_text())
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().out == "config ok\n"
+
+
+@pytest.mark.parametrize(
+    "form, key",
+    [
+        ({"builtin": "zero", "r0": 0.5, "radius": 0.4}, "r0"),
+        ({"builtin": "zero", "h": None}, "h"),
+        ({"builtin": "raw-bump", "h": None}, "h"),
+    ],
+    ids=["zero-r0", "zero-h-null", "raw-bump-h-null"],
+)
+def test_form_key_of_another_builtin_rejected(tmp_path, capsys, form, key):
+    # each builtin takes only its own keys, so none is silently dropped from
+    # the echoed config
+    cfg = dict(MINIMAL, form=form)
+    text = json.dumps(cfg)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"form: unknown keys [{key!r}]")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["check", str(cfg_path)]) == 1
+    assert key in capsys.readouterr().err
+
+
+# (section, the section's base object, field table) for every field table
+FIELD_TABLES = (
+    [("job", {"type": jt}, fields) for jt, (fields, _) in cli._JOBS.items()]
+    + [("form", {"builtin": name}, fields) for name, fields in cli._FORMS.items()]
+    + [("quadrature", {}, cli._QUADRATURE), ("monte_carlo", {}, cli._MONTE_CARLO),
+       ("output", {}, cli._OUTPUT)]
+)
+FIELDS = [
+    pytest.param(section, base, key, default, id=f"{'-'.join(map(str, base.values())) or section}-{key}")
+    for section, base, fields in FIELD_TABLES
+    for key, (default, _) in fields.items()
+]
+
+
+def _with_section(section, obj):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg[section] = obj
+    return cfg
+
+
+@pytest.mark.parametrize("section, base, key, default", FIELDS)
+def test_wrong_typed_field_rejected(tmp_path, capsys, section, base, key, default):
+    # an object where no field takes one fails by the field's own name
+    text = json.dumps(_with_section(section, dict(base, **{key: {"wrong": "type"}})))
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(f"{section}.{key}:")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["check", str(cfg_path)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, base, key, default",
+    [p for p in FIELDS if p.values[1] != {"type": "solve"}],
+)
+def test_absent_field_takes_its_default(section, base, key, default):
+    echoed = parse_config(json.dumps(_with_section(section, base))).to_dict()[section]
+    assert echoed.get(key) == default  # a bump-dbar form without h echoes no h
+
+
+@pytest.mark.parametrize("jt", list(cli._JOBS))
+def test_job_type_alone_parses(jt):
+    text = json.dumps(_with_section("job", {"type": jt}))
+    if jt == "solve":  # the points to solve at have no default
+        with pytest.raises(ValidationError, match=r"^job\.points:"):
+            parse_config(text)
+    else:
+        assert parse_config(text).job["type"] == jt
+
+
+def test_readme_config_grammar_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    grammar = readme.split("### Config grammar", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    keys = {key for _, _, fields in FIELD_TABLES for key in fields}
+    missing = sorted(key for key in keys if f'"{key}"' not in grammar)
+    missing += [jt for jt in cli._JOBS if f'"type": "{jt}"' not in grammar]
+    assert not missing

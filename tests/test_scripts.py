@@ -1,7 +1,7 @@
 """Every experiment script listed in README's "Experiment scripts" section
 imports the package and parses its options: `--help` exits 0.
 `scripts/op_digest.py --values` also runs one benchmark cycle, and
-`--configs` hashes the report of every `configs/*.json`;
+`--configs` hashes the JSON and CSV report of every `configs/*.json`;
 `scripts/est_calibration.py` calibrates one solve-grid cycle."""
 
 import ast
@@ -61,8 +61,8 @@ def test_op_digest_configs_hashes_every_config_report():
     names = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
     assert len(names) == 6 and len(lines) == 7
     for name, line in zip(names, lines):
-        got, digest = line.split()
-        assert got == name and len(digest) == 64
+        got, json_digest, csv_digest = line.split()  # the JSON report, then its CSV projection
+        assert got == name and len(json_digest) == len(csv_digest) == 64
     assert lines[-1].startswith("total 6 reports ") and len(lines[-1].split()[-1]) == 64
 
 
