@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ImplicitFunctionFailure,
@@ -157,44 +156,55 @@ class Chart:
         return F0, FJ
 
 
-def build_chart(variety: Variety, anchor) -> Chart:
-    """Construct the generalized-cone chart anchored at a regular point.
+def chart_frames(variety: Variety, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chart frames of a batch of anchors (N, n): pivots (N,), free (N, m)
+    and dependent (N, r) indices, the free coordinates (N, m) and a rank
+    mask (N,); nothing is validated (see `build_chart`).  The pivot
+    maximizes |anchor_k|.  The other Jacobian columns give the r = n - d
+    dependent ones by column-pivoted Gram-Schmidt in LAPACK's pivoted-QR
+    order (swap the column of largest residual norm into place, project it
+    out of the later ones); the free ones are the rest, in that order.  A
+    row passes if the r leading norms, and no norm left after them, exceed
+    1e-10 times the first: pivoted QR's rank rule."""
+    N, n = anchors.shape
+    r, rows = n - variety.pure_dim, np.arange(N)
+    pivots = np.argmax(np.abs(anchors), axis=1)
+    cols = np.tile(np.arange(n - 1), (N, 1))
+    cols += cols >= pivots[:, None]  # each row's columns other than its pivot
+    C = np.take_along_axis(variety.jacobian(anchors), cols[:, None, :], axis=2)  # (N, K, n-1)
+    lead = np.zeros((N, r))
+    for i in range(r):
+        norms = np.linalg.norm(C[:, :, i:], axis=1)
+        j = i + np.argmax(norms, axis=1)
+        lead[:, i] = norms.max(axis=1)
+        cols[rows, i], cols[rows, j] = cols[rows, j], cols[rows, i]
+        C[rows, :, i], C[rows, :, j] = C[rows, :, j], C[rows, :, i]
+        q = C[:, :, i] / np.where(lead[:, i] > 0, lead[:, i], 1.0)[:, None]
+        tail = C[:, :, i + 1:]
+        tail -= q[:, :, None] * np.sum(q.conj()[:, :, None] * tail, axis=1, keepdims=True)
+    rest = np.linalg.norm(C[:, :, r:], axis=1).max(axis=1, initial=0.0)
+    ok = np.all(lead > 1e-10 * lead[:, :1], axis=1) & (rest <= 1e-10 * lead[:, 0])
+    return pivots, cols[:, r:], cols[:, :r], np.take_along_axis(anchors, cols[:, r:], axis=1), ok
 
-    The pivot maximizes |anchor_k| (requires max >= 1: rescale to the link
-    first); free slice coordinates are chosen by pivoted QR on the slice
-    Jacobian.
-    """
+
+def chart_views(variety: Variety, anchors, pivots, free, dep, x_anchors) -> list[Chart]:
+    """`Chart` views of anchors and their `chart_frames` rows."""
+    return [Chart(variety, a, int(p), tuple(f.tolist()), tuple(g.tolist()), x, f.size)
+            for a, p, f, g, x in zip(anchors, pivots, free, dep, x_anchors)]
+
+
+def build_chart(variety: Variety, anchor) -> Chart:
+    """`chart_frames` of one anchor, validated: the chart at a regular point
+    whose largest |anchor_k| is >= 1 (rescale to the link first)."""
     anchor = np.asarray(anchor, dtype=np.complex128)
     if variety.pure_dim is None:
         raise ValueError("build_chart requires pure_dim")
     if np.linalg.norm(anchor) == 0.0 or not is_regular(variety, anchor):
         raise SingularAnchor(f"anchor {anchor} is not a regular point")
-    pivot = int(np.argmax(np.abs(anchor)))
-    if abs(anchor[pivot]) < 1.0 - 1e-9:
-        raise PivotTooSmall(
-            f"max |anchor_k| = {abs(anchor[pivot]):.3g} < 1; rescale to the link first"
-        )
-    n = variety.ambient_dim
-    d = variety.pure_dim
-    others = [k for k in range(n) if k != pivot]
-    A = variety.jacobian(anchor)[:, others]  # (K, n-1)
-    corank = n - d
-    m = d - 1
-    _, R, perm = scipy.linalg.qr(A, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-10 * (diag[0] if diag.size else 1.0)))
-    if rank != corank:
-        raise ImplicitFunctionFailure(
-            f"slice Jacobian rank {rank} != expected corank {corank} at the anchor"
-        )
-    dep = tuple(others[perm[i]] for i in range(corank))
-    free = tuple(others[perm[i]] for i in range(corank, n - 1))
-    return Chart(
-        variety=variety,
-        anchor=anchor,
-        pivot=pivot,
-        free=free,
-        dep=dep,
-        x_anchor=anchor[list(free)].copy(),
-        slice_dim=m,
-    )
+    *frames, ok = chart_frames(variety, anchor[None, :])
+    top = abs(anchor[frames[0][0]])
+    if top < 1.0 - 1e-9:
+        raise PivotTooSmall(f"max |anchor_k| = {top:.3g} < 1; rescale to the link first")
+    if not ok[0]:
+        raise ImplicitFunctionFailure("slice Jacobian rank != expected corank at the anchor")
+    return chart_views(variety, anchor[None, :], *frames)[0]

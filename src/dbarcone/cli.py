@@ -231,7 +231,7 @@ def _parse_variety(obj, path: str):
     return normalized, variety
 
 
-_RADIUS = (1.0, _real(1e-12))
+_RADIUS = (1.0, _real(1e-12, 1e150))  # radius**2 stays finite
 _FORMS = {
     "zero": {"radius": _RADIUS},
     "bump-dbar": {"radius": _RADIUS, "r0": (0.3, _real(0.0)), "h": (None, _optional(_parse_terms))},

@@ -31,9 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import Chart, build_chart, slice_newton, slice_tangents
+from .charts import chart_frames, chart_views, slice_newton, slice_tangents
 from .errors import (
-    DbarConeError,
     InsufficientSamples,
     NotACone,
     ProjectionFailure,
@@ -47,7 +46,7 @@ __all__ = [
     "SurfaceEstimate",
     "ConeAtlas",
     "sample_link",
-    "link_charts",
+    "link_frames",
     "surface_integral",
     "l2_norm_function",
     "l2_norm_form",
@@ -132,22 +131,19 @@ def sample_link(variety: Variety, count: int, rng_seed: int) -> LinkSample:
     return LinkSample(points=pts[:count], seeds_used=used)
 
 
-def link_charts(variety: Variety, count: int, rng_seed: int) -> list[Chart]:
-    """Charts anchored at `count` sampled link points of a cone; anchors
-    where `build_chart` fails with a DbarConeError are skipped."""
+def link_frames(variety: Variety, count: int, rng_seed: int) -> tuple[np.ndarray, ...]:
+    """Anchors (A, n) and `chart_frames` rows of the charts at `count` link
+    points of a cone; rows failing the rank mask, a safety net (`sample_link`
+    keeps only regular points with a coordinate of modulus >= 1), are dropped."""
     if not variety.weights.is_unit:
         raise NotACone("link charts require unit weights")
     if variety.pure_dim is None:
         raise ValueError("link charts require pure_dim")
-    charts: list[Chart] = []
-    for xi in sample_link(variety, count, rng_seed).points:
-        try:
-            charts.append(build_chart(variety, xi))
-        except DbarConeError:
-            continue
-    if not charts:
+    anchors = sample_link(variety, count, rng_seed).points
+    *frames, ok = chart_frames(variety, anchors)
+    if not ok.any():
         raise InsufficientSamples("no usable chart anchors")
-    return charts
+    return tuple(a[ok] for a in (anchors, *frames))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +164,17 @@ class ConeAtlas:
     2 charts; a curve (m = 0) has no slice box and accepts one chart."""
 
     def __init__(self, variety: Variety, n_anchors: int, rng_seed: int):
-        self.charts = charts = link_charts(variety, n_anchors, rng_seed)
+        # the stacked frames are the chart data; `charts` views their rows
+        frames = link_frames(variety, n_anchors, rng_seed)
+        self.anchors, self.pivots, self.free, self.dep, self.x_anchors = frames
+        self.charts = chart_views(variety, *frames)
         self.variety = variety
-        self.d = variety.pure_dim
-        self.m = self.d - 1
-        self.unit_anchors = np.stack([c.anchor / np.linalg.norm(c.anchor) for c in charts])
+        self.d, self.m = variety.pure_dim, variety.pure_dim - 1
+        self.unit_anchors = np.stack([a / np.linalg.norm(a) for a in self.anchors])
         if self.m:
-            if len(charts) < 2:
+            if len(self.charts) < 2:
                 raise InsufficientSamples(
-                    f"a surface atlas needs 2 charts to size its boxes, got {len(charts)}"
+                    f"a surface atlas needs 2 charts to size its boxes, got {len(self.charts)}"
                 )
             U = self.unit_anchors
             dd = np.linalg.norm(U[:, None, :] - U[None, :, :], axis=2)
@@ -186,14 +184,6 @@ class ConeAtlas:
             self.delta = 0.0
         # box volume: phases times the real-coordinate box of the slice params
         self.volume = 2.0 * math.pi * (2.0 * self.delta) ** (2 * self.m)
-        # chart data stacked per chart, so that assign can test every point
-        # against its own candidate chart in one batch
-        A, r = len(charts), variety.ambient_dim - self.d
-        self._pivots = np.array([c.pivot for c in charts], dtype=np.intp)
-        self._anchors = np.stack([c.anchor for c in charts])
-        self._free = np.array([c.free for c in charts], dtype=np.intp).reshape(A, self.m)
-        self._dep = np.array([c.dep for c in charts], dtype=np.intp).reshape(A, r)
-        self._x_anchors = np.stack([c.x_anchor for c in charts]).reshape(A, self.m)
 
     def covers(self, chart_idx: int, pts: np.ndarray) -> np.ndarray:
         """Which unit link points lie in the box image of this chart."""
@@ -209,8 +199,8 @@ class ConeAtlas:
         coordinates (another line of a cone, the other square root of a
         quadric) must fail the match, or two charts would count it."""
         rows = np.arange(pts.shape[0])
-        pivots = self._pivots[idx]
-        start = self._anchors[idx]  # a copy; Newton starts at the anchor
+        pivots = self.pivots[idx]
+        start = self.anchors[idx]  # a copy; Newton starts at the anchor
         s = pts[rows, pivots] / start[rows, pivots]
         good = np.abs(s) > 1e-12
         out = np.zeros(pts.shape[0], dtype=bool)
@@ -219,9 +209,9 @@ class ConeAtlas:
         Y = np.zeros_like(pts)
         Y[good] = pts[good] / s[good, None]
         if self.m:
-            free = self._free[idx]
+            free = self.free[idx]
             X = np.take_along_axis(Y, free, axis=1)
-            diff = X - self._x_anchors[idx]
+            diff = X - self.x_anchors[idx]
             inbox = good & np.all(
                 (np.abs(diff.real) <= self.delta) & (np.abs(diff.imag) <= self.delta), axis=1
             )
@@ -230,7 +220,7 @@ class ConeAtlas:
             inbox = good
         if not inbox.any():
             return out
-        Ysol, ok = slice_newton(self.variety, start[inbox], self._dep[idx[inbox]])
+        Ysol, ok = slice_newton(self.variety, start[inbox], self.dep[idx[inbox]])
         match = ok & (
             np.linalg.norm(Ysol - Y[inbox], axis=1)
             <= 1e-6 * (1.0 + np.linalg.norm(Y[inbox], axis=1))
@@ -337,14 +327,14 @@ def _cone_mc(
     # row j belongs to chart owner[j] and starts from that chart's anchor
     owner = np.repeat(np.arange(A), per)
     phi = np.empty(N)
-    Y0 = atlas._anchors[owner]
+    Y0 = atlas.anchors[owner]
     for i, rng in enumerate(rngs):
         own = slice(i * per, (i + 1) * per)
         phi[own] = rng.uniform(0.0, 2.0 * math.pi, per)
         if m:
             re = rng.uniform(-atlas.delta, atlas.delta, (per, m))
             im = rng.uniform(-atlas.delta, atlas.delta, (per, m))
-            Y0[own, atlas._free[i]] = atlas._x_anchors[i] + re + 1j * im
+            Y0[own, atlas.free[i]] = atlas.x_anchors[i] + re + 1j * im
     # coverage diagnostic: independently sampled link points must all be
     # covered by some chart box; they ride in the last block's assign
     pilot = sample_link(variety, min(256, max(32, n_samples // 10)), (rng_seed ^ 0x9E3779B9) & 0x7FFFFFFF)
@@ -353,7 +343,7 @@ def _cone_mc(
     kept, Y_kept, P_kept = [], [], []
     for start in range(0, N, _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, N))
-        Y, ok = slice_newton(variety, Y0[rows], atlas._dep[owner[rows]])
+        Y, ok = slice_newton(variety, Y0[rows], atlas.dep[owner[rows]])
         newton_failures += int(rows.size - ok.sum())
         rows, Y = rows[ok], Y[ok]
         P = np.exp(1j * phi[rows])[:, None] * Y / np.linalg.norm(Y, axis=1)[:, None]
@@ -368,7 +358,7 @@ def _cone_mc(
     vals = np.zeros(N)
     if rows.size:
         Ya = np.concatenate(Y_kept)
-        Yp = slice_tangents(variety, Ya, atlas._free[owner[rows]], atlas._dep[owner[rows]])
+        Yp = slice_tangents(variety, Ya, atlas.free[owner[rows]], atlas.dep[owner[rows]])
         sqrtG = _link_gram(Ya, Yp)
         counts = np.bincount(owner[rows], minlength=A)
         u = np.concatenate([rng.uniform(0.0, 1.0, c) for rng, c in zip(rngs, counts)])

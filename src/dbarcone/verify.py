@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, build_chart
+from .charts import Chart, build_chart, chart_views
 from .errors import StepTooSmall
 from .forms import ZeroOneForm
 from .measure import (
@@ -22,7 +22,7 @@ from .measure import (
     dist_sigma_path,
     l2_norm_form,
     l2_norm_function,
-    link_charts,
+    link_frames,
     surface_integral,
 )
 from .quadrature import QuadratureParams
@@ -213,14 +213,14 @@ def holder_report(
     |g(z) - g(w)|, and report ratios against both distance brackets: the
     projected chord of `dist_sigma_path` from above, the ambient chord from
     below.
-    The pairs come from `link_charts`, so a variety that is not a cone
-    raises NotACone and a link on which no chart builds raises
-    InsufficientSamples, as for `ConeAtlas`.
+    The pairs come from the charts of `link_frames`, so a variety that is
+    not a cone raises NotACone and a link on which no chart builds raises
+    InsufficientSamples, as for `ConeAtlas`; one chart is enough.
     """
     if not (0 < theta < 1):
         raise ValueError("theta must lie in (0, 1)")
     rng = np.random.default_rng(rng_seed)
-    charts = link_charts(variety, 4, rng_seed ^ 0x51C3)
+    charts = chart_views(variety, *link_frames(variety, 4, rng_seed ^ 0x51C3))
 
     def rand_sx(chart: Chart):
         return _chart_box_sample(rng, chart, 0.9 * radius, 0.2, 0.25)

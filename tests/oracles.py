@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from dbarcone import measure
 from dbarcone.charts import slice_tangents
@@ -79,6 +80,30 @@ def fd_chart_pullback(chart, form, s: complex, x, h: float = 1e-6):
         d_j = (chart.eval(s, xp) - chart.eval(s, xm)) / (2 * h)
         FJ.append(complex(np.sum(fvals * np.conj(d_j))))
     return F0, np.asarray(FJ, dtype=np.complex128)
+
+
+def chart_frames_by_qr(variety, anchors: np.ndarray):
+    """Reference for charts.chart_frames, one anchor at a time through
+    LAPACK's pivoted QR of the slice Jacobian (the columns other than the
+    pivot argmax |anchor_k|): the first r = n - d pivoted columns are the
+    dependent ones, the rest the free ones, and a row passes when the count
+    of |R_ii| above 1e-10 |R_00| equals r.  Returns (pivots, free, dep,
+    x_anchors, ok)."""
+    N, n = anchors.shape
+    r = n - variety.pure_dim
+    pivots = np.empty(N, dtype=np.intp)
+    perms = np.empty((N, n - 1), dtype=np.intp)
+    ok = np.empty(N, dtype=bool)
+    for i, anchor in enumerate(anchors):
+        pivots[i] = np.argmax(np.abs(anchor))
+        others = np.array([k for k in range(n) if k != pivots[i]])
+        _, R, perm = scipy.linalg.qr(variety.jacobian(anchor)[:, others], pivoting=True,
+                                     mode="economic")
+        diag = np.abs(np.diag(R))
+        ok[i] = np.sum(diag > 1e-10 * (diag[0] if diag.size else 1.0)) == r
+        perms[i] = others[perm]
+    free = perms[:, r:]
+    return pivots, free, perms[:, :r], np.stack([a[f] for a, f in zip(anchors, free)]), ok
 
 
 def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbarcone.charts import Chart, build_chart, slice_newton, slice_tangents
+from dbarcone.charts import Chart, build_chart, chart_frames, slice_newton, slice_tangents
 from dbarcone.errors import (
     NewtonDivergence,
     PivotTooSmall,
@@ -11,7 +11,7 @@ from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
 from dbarcone.measure import sample_link
 from dbarcone.variety import contains, is_regular
 
-from oracles import fd_chart_pullback
+from oracles import chart_frames_by_qr, fd_chart_pullback
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -26,6 +26,44 @@ def line_chart():
 def quadric_chart():
     xi = np.array([1.0, 1.0, 1.0]) / SQRT3 * SQRT3
     return build_chart(quadric_cone(), xi)
+
+
+def assert_frames_equal(V, anchors):
+    got, ref = chart_frames(V, anchors), chart_frames_by_qr(V, anchors)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    return got[-1]
+
+
+@pytest.mark.parametrize("make, count", [(line2, 200), (cone6, 400), (quadric_cone, 2000)],
+                         ids=["line2", "cone6", "quadric-cone"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chart_frames_match_pivoted_qr(make, count, seed):
+    # pivots, free and dep of every sampled anchor equal LAPACK's pivoted
+    # QR of its slice Jacobian, and every link anchor passes the mask
+    V = make()
+    assert assert_frames_equal(V, sample_link(V, count, seed).points).all()
+
+
+@pytest.mark.parametrize(
+    "make, anchor", [(quadric_cone, [1.0, 1.0, 1.0]), (line2, [SQRT2, 0.0])],
+    ids=["quadric-cone", "line2"],
+)
+def test_chart_frames_tie_anchors_match_pivoted_qr(make, anchor):
+    # every |anchor_k| ties on the quadric; the line's slice is one column
+    assert assert_frames_equal(make(), np.array([anchor], dtype=complex)).all()
+
+
+@pytest.mark.parametrize("make", [line2, cone6, quadric_cone], ids=lambda f: f.__name__)
+def test_chart_frames_mask_matches_pivoted_qr_rank(make):
+    # off the variety and at the origin some rows fail the rank rule (a
+    # vanishing gradient, or line2's pivot column z2); the mask flags the
+    # rows that pivoted QR flags
+    V = make()
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((100, V.ambient_dim)) + 1j * rng.standard_normal((100, V.ambient_dim))
+    pts[:2] = 0.0
+    ok = assert_frames_equal(V, pts)
+    assert ok.any() and not ok.all()
 
 
 def test_line_chart_shape(line_chart):

@@ -330,12 +330,17 @@ def test_theta_crosscheck_job_smoke(tmp_path):
         ("form.radius", lambda cfg: cfg.update(form={"builtin": "zero", "radius": float("nan")})),
         ("quadrature.rel_tol", lambda cfg: cfg.update(quadrature={"rel_tol": float("nan")})),
         ("form.r0", lambda cfg: cfg.update(form={"builtin": "bump-dbar", "r0": 0})),
+        ("form.radius", lambda cfg: cfg.update(form={"builtin": "bump-dbar", "radius": 1e300})),
+        ("form.radius", lambda cfg: cfg.update(form={"builtin": "raw-bump", "radius": 1e300})),
     ],
-    ids=["seed-nan", "seed-inf", "radius-nan", "rel_tol-nan", "r0-zero"],
+    ids=["seed-nan", "seed-inf", "radius-nan", "rel_tol-nan", "r0-zero",
+         "bump-dbar-radius-squared-inf", "raw-bump-radius-squared-inf"],
 )
 def test_non_finite_number_rejected(tmp_path, capsys, key, edit):
-    # JSON NaN and Infinity parse as floats; they must fail validation by
-    # name instead of crashing later or passing as "config ok"
+    # JSON NaN and Infinity parse as floats, and a radius whose square is
+    # inf makes the cutoff divide inf by inf (a NaN sup bound); they must
+    # fail validation by name instead of crashing later or passing as
+    # "config ok"
     cfg = json.loads(json.dumps(MINIMAL))
     edit(cfg)
     text = json.dumps(cfg)

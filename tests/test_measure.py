@@ -3,7 +3,7 @@ import pytest
 
 from dbarcone import charts, measure
 from dbarcone.charts import slice_newton
-from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure, SingularAnchor
+from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure
 from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
@@ -270,27 +270,40 @@ def test_estimate_does_not_depend_on_assign_batching(monkeypatch):
 
 
 def test_atlas_skips_failed_charts(monkeypatch):
-    build = measure.build_chart
-    calls = []
+    # a row that fails the rank mask is dropped; the others keep their order
+    frames = measure.chart_frames
+    rows = []
 
-    def first_fails(variety, anchor):
-        calls.append(anchor)
-        if len(calls) == 1:
-            raise SingularAnchor("first anchor rejected")
-        return build(variety, anchor)
+    def first_fails(variety, anchors):
+        *rest, ok = frames(variety, anchors)
+        rows.append(anchors.shape[0])
+        ok[0] = False
+        return *rest, ok
 
-    monkeypatch.setattr(measure, "build_chart", first_fails)
+    monkeypatch.setattr(measure, "chart_frames", first_fails)
     atlas = ConeAtlas(quadric_cone(), 5, 3)
-    assert len(calls) == 5 and len(atlas.charts) == 4
+    assert rows == [5] and len(atlas.charts) == 4
+    assert np.array_equal(atlas.anchors, sample_link(quadric_cone(), 5, 3).points[1:])
 
 
 def test_atlas_build_propagates_unexpected_errors(monkeypatch):
-    def broken(variety, anchor):
+    def broken(variety, anchors):
         raise RuntimeError("bug in chart construction")
 
-    monkeypatch.setattr(measure, "build_chart", broken)
+    monkeypatch.setattr(measure, "chart_frames", broken)
     with pytest.raises(RuntimeError, match="bug in chart construction"):
         ConeAtlas(quadric_cone(), 5, 3)
+
+
+def test_atlas_charts_are_views_of_its_frames():
+    # every chart is its atlas row: anchor, pivot, free, dep and x_anchor
+    atlas = ConeAtlas(quadric_cone(), 24, 3)
+    for i, c in enumerate(atlas.charts):
+        assert np.shares_memory(c.anchor, atlas.anchors)
+        assert np.array_equal(c.anchor, atlas.anchors[i]) and c.pivot == atlas.pivots[i]
+        assert c.free == tuple(atlas.free[i]) and c.dep == tuple(atlas.dep[i])
+        assert np.shares_memory(c.x_anchor, atlas.x_anchors)
+        assert np.array_equal(c.x_anchor, atlas.x_anchors[i])
 
 
 def test_one_chart_surface_atlas_rejected():

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from dbarcone.charts import build_chart, slice_newton, slice_tangents
+from dbarcone.charts import build_chart, chart_frames, slice_newton, slice_tangents
 from dbarcone.measure import sample_link, surface_integral
 from dbarcone.variety import SparsePolynomial, Variety, Weights
 
-from oracles import cone_mc_by_charts
+from oracles import chart_frames_by_qr, cone_mc_by_charts
 
 
 def twisted_cubic() -> Variety:
@@ -27,6 +27,15 @@ def twisted_cubic() -> Variety:
 @pytest.fixture(scope="module")
 def cubic():
     return twisted_cubic()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chart_frames_match_pivoted_qr(cubic, seed):
+    # two Gram-Schmidt steps over three columns of a rank-2, 3 x 3 slice
+    # Jacobian pick LAPACK's dependent columns, in its order
+    anchors = sample_link(cubic, 2000, seed).points
+    got, ref = chart_frames(cubic, anchors), chart_frames_by_qr(cubic, anchors)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and got[-1].all()
 
 
 @pytest.fixture(scope="module")

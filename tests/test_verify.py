@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbarcone import measure, verify
-from dbarcone.errors import InsufficientSamples, NotACone, SingularAnchor
+from dbarcone.errors import InsufficientSamples, NotACone
 from dbarcone.fixtures import cusp, line2, make_form, quadric_cone
 from dbarcone.measure import SurfaceEstimate, sample_link
 from dbarcone.quadrature import QuadratureParams
@@ -107,12 +107,34 @@ def test_holder_report_rejects_weighted_variety(line_form):
 
 
 def test_holder_report_without_charts(monkeypatch, cone_form):
-    def rejected(variety, anchor):
-        raise SingularAnchor("every anchor rejected")
+    frames = measure.chart_frames
 
-    monkeypatch.setattr(measure, "build_chart", rejected)
+    def rejected(variety, anchors):
+        *rest, ok = frames(variety, anchors)
+        return *rest, np.zeros_like(ok)
+
+    monkeypatch.setattr(measure, "chart_frames", rejected)
     with pytest.raises(InsufficientSamples):
         holder_report(quadric_cone(), cone_form, 0.5, 1.0, 6, 8)
+
+
+def test_holder_report_with_one_usable_chart(monkeypatch, cone_form):
+    # one chart gives every pair kind; the atlas's rule that a surface
+    # needs 2 charts to size its boxes does not apply to holder_report
+    frames = measure.chart_frames
+
+    def three_rejected(variety, anchors):
+        *rest, ok = frames(variety, anchors)
+        assert ok.all()
+        ok[1:] = False
+        return *rest, ok
+
+    monkeypatch.setattr(measure, "chart_frames", three_rejected)
+    rep = holder_report(quadric_cone(), cone_form, 0.5, 1.0, 6, 8, scale_factors=(1.0,))
+    assert [p.kind for p in rep.pairs] == ["line"] * 2 + ["slice"] * 2 + ["general"] * 2
+    assert np.isfinite(rep.empirical_constant)
+    with pytest.raises(InsufficientSamples, match="2 charts"):
+        measure.ConeAtlas(quadric_cone(), 4, 8 ^ 0x51C3)
 
 
 def test_l2_report_degenerate_zero_form():
