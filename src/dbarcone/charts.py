@@ -54,9 +54,11 @@ def slice_tangents(variety: Variety, Y: np.ndarray, free, dep) -> np.ndarray:
     ones, so that rows may belong to different charts.
 
     The pivot row is zero, free rows are unit vectors, and the dependent
-    rows solve the linearized constraints J_dep D = -J_free, in the least
-    squares sense of `newton_steps` when there are more constraints than
-    dependent coordinates.  Each row's blocks depend on that row alone.
+    rows solve the linearized constraints J_dep D = -J_free: by one division
+    when J_dep is 1 x 1 (a zero one raises), otherwise by the ridge step of
+    `newton_steps`, least squares when there are at least as many
+    constraints as dependent coordinates.  Each row's blocks depend on that
+    row alone.
     """
     M, n = Y.shape
     free = np.asarray(free, dtype=np.intp)

@@ -439,14 +439,17 @@ def _square_root(est: SurfaceEstimate) -> SurfaceEstimate:
 # intrinsic distance upper bound
 
 
-def dist_sigma_path(
-    variety: Variety, z, w, steps: int = 24
-) -> PathApprox:
+# segments of the projected chord and of the scaling orbit into the origin
+_CHORD_STEPS = 24
+
+
+def dist_sigma_path(variety: Variety, z, w) -> PathApprox:
     """Upper bound on the intrinsic distance: the ambient segment from z to w
-    at steps + 1 nodes, projected pointwise onto the variety (the projected
-    chord), or, when one endpoint is the origin, the scaling orbit of the
-    other endpoint into it.  The length is never below the chordal distance.
-    Raises ProjectionFailure when a node of the chord does not project.
+    at _CHORD_STEPS + 1 nodes, projected pointwise onto the variety (the
+    projected chord), or, when one endpoint is the origin, the scaling orbit
+    of the other endpoint into it.  The length is never below the chordal
+    distance.  Raises ProjectionFailure when a node of the chord does not
+    project.
 
     Only the projected chord is tried.  On every pair that the tests,
     configs and scripts measure it is shorter than the two-leg routes (a
@@ -466,17 +469,15 @@ def dist_sigma_path(
             t_star = target / n_outer
         else:
             t_star = float(orbit_scale(variety.weights, outer.reshape(1, -1), target)[0])
-        ts = np.linspace(1.0, t_star, steps + 1)
+        ts = np.linspace(1.0, t_star, _CHORD_STEPS + 1)
         path = np.stack([act(t, variety.weights, outer) for t in ts] + [np.zeros_like(outer)])
         if nz == 0.0:
             path = path[::-1]
     else:
-        ts = np.linspace(0.0, 1.0, steps + 1)
+        ts = np.linspace(0.0, 1.0, _CHORD_STEPS + 1)
         path, ok = project_batch(variety, z[None, :] * (1 - ts)[:, None] + w[None, :] * ts[:, None])
         if not ok.all():
-            raise ProjectionFailure(
-                "the chord could not be projected onto the variety; increase steps"
-            )
+            raise ProjectionFailure("the chord could not be projected onto the variety")
         path[0], path[-1] = z, w
     polyline = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
     length = max(polyline, float(np.linalg.norm(z - w)))

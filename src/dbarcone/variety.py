@@ -413,17 +413,18 @@ def orbit_scale(weights: Weights, pts, target) -> np.ndarray:
 def newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps -J^+ R per row for J: (M, K, r) and R: (M, K, q).
 
-    Square blocks are solved exactly; a row whose block is exactly
-    singular gets no step and is flagged, so it fails alone instead of
-    stopping the rest of the batch.  Other blocks take a ridge step
-    through the smaller Gram matrix G, with lam = 1e-14 (1 + |J|_F^2): wide
-    ones (K < r) the minimal-norm J^H (J J^H + lam I)^{-1} R, tall ones
-    (K > r) the least-squares (J^H J + lam I)^{-1} J^H R.
-    1 x 1 systems (K = r = 1, or a 1 x 1 G) are solved in closed form by
-    one division, which moves last bits against LAPACK's solve; every
-    slice step and tangent of a hypersurface is one, and there LAPACK's
-    per-row cost dominated the division's.  Larger blocks go through
-    `np.linalg.solve`.  Returns (step, singular).
+    A 1 x 1 block (K = r = 1) is solved in closed form by one division; a
+    row whose J is exactly zero gets no step and is flagged, so it fails
+    alone instead of stopping the rest of the batch.  Every larger block
+    takes a ridge step through the smaller Gram matrix G, with
+    lam = 1e-14 (1 + |J|_F^2): wide ones (K < r) the minimal-norm
+    J^H (J J^H + lam I)^{-1} R, the others (K >= r) the least-squares
+    (J^H J + lam I)^{-1} J^H R, which stays finite on rank-deficient
+    square blocks.  A 1 x 1 G is one division too; larger ones go through
+    `np.linalg.solve`.  The divisions move last bits against LAPACK's
+    solve; every slice step and tangent of a hypersurface is one, and
+    there LAPACK's per-row cost dominated the division's.
+    Returns (step, singular).
     """
     M, K, r = J.shape
     singular = np.zeros(M, dtype=bool)
@@ -431,16 +432,6 @@ def newton_steps(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         singular = J[:, 0, 0] == 0
         step = -R / np.where(singular[:, None, None], 1.0, J)
         step[singular] = 0.0
-    elif K == r:
-        try:
-            step = -np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
-            step = np.zeros((M, r, R.shape[2]), dtype=np.complex128)
-            for i in range(M):
-                try:
-                    step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1])[0]
-                except np.linalg.LinAlgError:
-                    singular[i] = True
     else:
         Jh = J.conj().transpose(0, 2, 1)
         G = J @ Jh if K < r else Jh @ J
@@ -528,18 +519,18 @@ def damped_newton(
 
 
 def project_batch(
-    variety: Variety,
-    seeds: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 60,
+    variety: Variety, seeds: np.ndarray, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton projection of a batch of points onto the zero locus.
 
     Returns (points, converged_mask): `damped_newton` on every coordinate,
-    with up to 20 halvings of each step.  With fewer equations than
-    coordinates `newton_steps` takes the minimal-norm ridge step.
+    for at most 60 steps with up to 20 halvings each.  Unless the block is
+    one equation on one coordinate, `newton_steps` takes the ridge step:
+    minimal-norm with fewer equations than coordinates, least-squares
+    otherwise, so a square Jacobian that is singular on the variety (as
+    many equations as coordinates) still gives a finite step.
     """
     Z = np.asarray(seeds, dtype=np.complex128)
     N, n = Z.shape
     cols = np.broadcast_to(np.arange(n), (N, n))
-    return damped_newton(variety, Z, cols, tol, tol, max_iter, 20)
+    return damped_newton(variety, Z, cols, tol, tol, 60, 20)

@@ -405,21 +405,15 @@ def eval_rects_by_points(sweep, K, rects: np.ndarray, mass=None) -> np.ndarray:
 
 def newton_steps_by_lapack(J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference for variety.newton_steps with every system, 1 x 1 ones
-    included, solved by LAPACK: square blocks exactly (an exactly singular
-    row gets no step and is flagged), others by the ridge step through
-    the smaller Gram matrix.  Returns (step, singular)."""
+    included, solved by LAPACK: 1 x 1 blocks exactly (an exactly zero one
+    gets no step and is flagged), every other block by the ridge step
+    through the smaller Gram matrix.  Returns (step, singular)."""
     M, K, r = J.shape
     singular = np.zeros(M, dtype=bool)
-    if K == r:
-        try:
-            step = -np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
-            step = np.zeros((M, r, R.shape[2]), dtype=np.complex128)
-            for i in range(M):
-                try:
-                    step[i] = -np.linalg.solve(J[i : i + 1], R[i : i + 1])[0]
-                except np.linalg.LinAlgError:
-                    singular[i] = True
+    if K == r == 1:
+        singular = J[:, 0, 0] == 0
+        step = -np.linalg.solve(np.where(singular[:, None, None], 1.0, J), R)
+        step[singular] = 0.0
     else:
         Jh = J.conj().transpose(0, 2, 1)
         G = J @ Jh if K < r else Jh @ J

@@ -143,11 +143,10 @@ def test_dist_triangle_within_slack():
     V = quadric_cone()
     pts = sample_link(V, 3, 29).points / np.sqrt(3)
     z, v, w = pts
-    steps = 24
-    dzw = dist_sigma_path(V, z, w, steps).length
-    dzv = dist_sigma_path(V, z, v, steps).length
-    dvw = dist_sigma_path(V, v, w, steps).length
-    slack = 2 * (np.linalg.norm(z - w) / steps)
+    dzw = dist_sigma_path(V, z, w).length
+    dzv = dist_sigma_path(V, z, v).length
+    dvw = dist_sigma_path(V, v, w).length
+    slack = 2 * (np.linalg.norm(z - w) / measure._CHORD_STEPS)
     assert dzw <= dzv + dvw + slack + 1e-9
 
 
@@ -176,7 +175,7 @@ def test_dist_projects_the_chord_once(monkeypatch):
         return project_batch(variety, pts, *args, **kwargs)
 
     monkeypatch.setattr(measure, "project_batch", counting)
-    path = dist_sigma_path(V, z, w, 24)
+    path = dist_sigma_path(V, z, w)
     assert calls == [25]
     assert path.length >= np.linalg.norm(z - w)
 

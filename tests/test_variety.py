@@ -14,6 +14,7 @@ from dbarcone.variety import (
     act,
     contains,
     contains_batch,
+    damped_newton,
     int_power,
     is_regular,
     newton_steps,
@@ -227,8 +228,16 @@ def test_sparse_polynomial_gradients():
     assert g3 == -2 * 0.5j
 
 
+def _project_steps(V, seeds, tol, max_iter):
+    """`project_batch` with its iteration budget of 60 replaced by max_iter:
+    `damped_newton` on every coordinate, tol for both tests, 20 halvings."""
+    cols = np.broadcast_to(np.arange(V.ambient_dim), seeds.shape)
+    return damped_newton(V, seeds, cols, tol, tol, max_iter, 20)
+
+
 def test_projection_no_convergence_budget():
-    _, ok = project_batch(quadric_cone(), np.array([[5.0, -3.0, 9.0]], dtype=complex), max_iter=1)
+    seeds = np.array([[5.0, -3.0, 9.0]], dtype=complex)
+    _, ok = _project_steps(quadric_cone(), seeds, 1e-12, 1)
     assert not ok[0]
 
 
@@ -249,7 +258,10 @@ def test_project_batch_matches_whole_batch_line_search(make):
     magnitudes = 10.0 ** np.random.default_rng(70).uniform(-3, 3, 64)
     seeds = _gaussians(V, 64, 71) * magnitudes[:, None]
     for tol, max_iter in ((1e-12, 60), (1e-13, 60), (1e-12, 3)):
-        Z, ok = project_batch(V, seeds, tol=tol, max_iter=max_iter)
+        if max_iter == 60:
+            Z, ok = project_batch(V, seeds, tol=tol)
+        else:
+            Z, ok = _project_steps(V, seeds, tol, max_iter)
         Z_ref, ok_ref = project_whole_batch(V, seeds, tol=tol, max_iter=max_iter)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(Z, Z_ref)
