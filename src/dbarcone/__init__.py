@@ -13,7 +13,6 @@ from .forms import (
 )
 from .measure import (
     LinkSample,
-    PathApprox,
     SurfaceEstimate,
     dist_sigma_path,
     l2_norm_form,
@@ -64,7 +63,6 @@ __all__ = [
     "HolderReport",
     "L2Report",
     "LinkSample",
-    "PathApprox",
     "PlanarIntegrand",
     "QuadratureParams",
     "ResidualReport",

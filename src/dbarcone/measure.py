@@ -42,7 +42,6 @@ from .variety import Variety, act, contains_batch, orbit_scale, project_batch, r
 
 __all__ = [
     "LinkSample",
-    "PathApprox",
     "SurfaceEstimate",
     "ConeAtlas",
     "sample_link",
@@ -70,17 +69,6 @@ class SurfaceEstimate:
     n_samples: int
     newton_failures: int
     coverage_gaps: int
-
-
-@dataclass(frozen=True)
-class PathApprox:
-    """Polyline through points of the variety: the projected chord, or the
-    scaling orbit into the origin.  Its length, never below the chord, is
-    the upper bound on the intrinsic distance between the endpoints."""
-
-    waypoints: np.ndarray  # (P, n)
-    length: float
-    near_singular: bool  # some interior waypoint dipped toward the origin
 
 
 def _rescale_to_norm(variety: Variety, pts: np.ndarray, target: float) -> np.ndarray:
@@ -439,17 +427,17 @@ def _square_root(est: SurfaceEstimate) -> SurfaceEstimate:
 # intrinsic distance upper bound
 
 
-# segments of the projected chord and of the scaling orbit into the origin
+# segments of the projected chord
 _CHORD_STEPS = 24
 
 
-def dist_sigma_path(variety: Variety, z, w) -> PathApprox:
-    """Upper bound on the intrinsic distance: the ambient segment from z to w
-    at _CHORD_STEPS + 1 nodes, projected pointwise onto the variety (the
-    projected chord), or, when one endpoint is the origin, the scaling orbit
-    of the other endpoint into it.  The length is never below the chordal
-    distance.  Raises ProjectionFailure when a node of the chord does not
-    project.
+def dist_sigma_path(variety: Variety, z, w) -> float:
+    """Upper bound on the intrinsic distance: the length of the ambient
+    segment from z to w at _CHORD_STEPS + 1 nodes, projected node by node
+    onto the variety (the projected chord), and never below the chordal
+    distance.  An endpoint at the origin needs no special case: on a cone
+    the segment to the origin lies on the variety.  Raises ProjectionFailure
+    when a node of the chord does not project.
 
     Only the projected chord is tried.  On every pair that the tests,
     configs and scripts measure it is shorter than the two-leg routes (a
@@ -458,32 +446,10 @@ def dist_sigma_path(variety: Variety, z, w) -> PathApprox:
     never invalid."""
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    nz, nw = float(np.linalg.norm(z)), float(np.linalg.norm(w))
-    if nz == 0.0 and nw == 0.0:
-        return PathApprox(np.stack([z, w]), 0.0, False)
-    if nz == 0.0 or nw == 0.0:
-        # the scaling orbit ends at the origin, so it is a path: outer -> 0
-        outer, n_outer = (w, nw) if nz == 0.0 else (z, nz)
-        target = 1e-9 * n_outer
-        if variety.weights.is_unit:
-            t_star = target / n_outer
-        else:
-            t_star = float(orbit_scale(variety.weights, outer.reshape(1, -1), target)[0])
-        ts = np.linspace(1.0, t_star, _CHORD_STEPS + 1)
-        path = np.stack([act(t, variety.weights, outer) for t in ts] + [np.zeros_like(outer)])
-        if nz == 0.0:
-            path = path[::-1]
-    else:
-        ts = np.linspace(0.0, 1.0, _CHORD_STEPS + 1)
-        path, ok = project_batch(variety, z[None, :] * (1 - ts)[:, None] + w[None, :] * ts[:, None])
-        if not ok.all():
-            raise ProjectionFailure("the chord could not be projected onto the variety")
-        path[0], path[-1] = z, w
+    ts = np.linspace(0.0, 1.0, _CHORD_STEPS + 1)
+    path, ok = project_batch(variety, z[None, :] * (1 - ts)[:, None] + w[None, :] * ts[:, None])
+    if not ok.all():
+        raise ProjectionFailure("the chord could not be projected onto the variety")
+    path[0], path[-1] = z, w
     polyline = float(np.sum(np.linalg.norm(np.diff(path, axis=0), axis=1)))
-    length = max(polyline, float(np.linalg.norm(z - w)))
-    interior = path[1:-1]
-    floor = 0.1 * min(nz, nw) if min(nz, nw) > 0 else 0.0
-    near_sing = bool(
-        interior.shape[0] and floor > 0 and np.linalg.norm(interior, axis=1).min() < floor
-    )
-    return PathApprox(path, length, near_sing)
+    return max(polyline, float(np.linalg.norm(z - w)))

@@ -247,7 +247,7 @@ def holder_report(
                 chart2 = charts[rng.integers(len(charts))]
                 s2, x2 = rand_sx(chart2)
                 z, w = chart.eval(s, x), chart2.eval(s2, x2)
-            if np.linalg.norm(z - w) < 1e-10:
+            if np.linalg.norm(z - w) < 1e-10 * radius:  # relative: any radius yields pairs
                 continue
             if np.linalg.norm(z) >= radius or np.linalg.norm(w) >= radius:
                 continue
@@ -261,7 +261,7 @@ def holder_report(
             gz = solve(variety, form, z, params).value
             gw = solve(variety, form, w, params).value
             dg = abs(gz - gw)
-            path = dist_sigma_path(variety, z, w)
+            upper = dist_sigma_path(variety, z, w)
             chord = float(np.linalg.norm(z - w))
             rows.append(
                 HolderPair(
@@ -269,10 +269,10 @@ def holder_report(
                     w=tuple(map(complex, w)),
                     kind=kind,
                     scale=t,
-                    dist_upper=path.length,
+                    dist_upper=upper,
                     dist_chord=chord,
                     delta_g=dg,
-                    ratio_upper=dg / path.length ** theta,
+                    ratio_upper=dg / upper ** theta,
                     ratio_chord=dg / chord ** theta,
                 )
             )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +184,33 @@ def test_holder_smoke_end_to_end(tmp_path):
     assert report["results"]["n_pairs"] >= 9
     assert report["results"]["empirical_constant"] > 0
     assert len(report["table"]) == report["results"]["n_pairs"]
+
+
+@pytest.mark.parametrize("radius", [1e-10, 1e-11, 1e-12])
+def test_holder_job_at_tiny_radius_returns(tmp_path, radius):
+    # pairs closer than 1e-10 of the radius are resampled: an absolute
+    # cut-off rejects every pair at these radii and the job never returns
+    cfg = {
+        "variety": "quadric-cone",
+        "form": {"builtin": "bump-dbar", "r0": 0.3, "radius": 1.0},
+        "job": {"type": "holder", "theta": 0.5, "radius": radius, "pairs": 3,
+                 "scales": [1.0]},
+        "seed": 11,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbarcone.cli", "run", str(cfg_path), "--reproducible",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(out.read_text())["table"]
+    assert len(table) == 3
+    assert all(0 < row["dist_chord"] <= row["dist_upper"] < 2 * radius for row in table)
 
 
 def _run_cfg(tmp_path, cfg, name):

@@ -4,7 +4,7 @@ import pytest
 from dbarcone import charts, measure
 from dbarcone.charts import slice_newton
 from dbarcone.errors import InsufficientSamples, NotACone, ProjectionFailure
-from dbarcone.fixtures import cone6, line2, make_form, quadric_cone
+from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
 from dbarcone.forms import ZeroOneForm
 from dbarcone.measure import (
     ConeAtlas,
@@ -14,9 +14,11 @@ from dbarcone.measure import (
     sample_link,
     surface_integral,
 )
-from dbarcone.variety import project_batch
+from dbarcone.variety import act, project_batch
 
 from oracles import cone_mc_by_charts, in_box, nearest_covering_chart
+from test_monomial_curve import monomial_curve
+from test_twisted_cubic import twisted_cubic
 
 
 def test_sample_link_line():
@@ -114,8 +116,8 @@ def test_l2_norm_form_representation_invariance():
 
 def test_dist_trivials():
     L = line2()
-    assert dist_sigma_path(L, [0.5, 0], [0.5, 0]).length == 0.0
-    d = dist_sigma_path(L, [0.5, 0], [0.2 + 0.1j, 0]).length
+    assert dist_sigma_path(L, [0.5, 0], [0.5, 0]) == 0.0
+    d = dist_sigma_path(L, [0.5, 0], [0.2 + 0.1j, 0])
     assert abs(d - abs(0.5 - (0.2 + 0.1j))) < 1e-9
 
 
@@ -123,7 +125,7 @@ def test_dist_radial_pair_on_cone():
     V = quadric_cone()
     z = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
     for t in (0.25, 0.7):
-        d = dist_sigma_path(V, z, t * z).length
+        d = dist_sigma_path(V, z, t * z)
         assert abs(d - (1 - t)) < 1e-8
 
 
@@ -133,8 +135,8 @@ def test_dist_lower_bound_and_symmetry():
     pts = sample_link(V, 6, 23).points / np.sqrt(3)
     for i in range(0, 6, 2):
         z, w = pts[i], pts[i + 1] * 0.6
-        dzw = dist_sigma_path(V, z, w).length
-        dwz = dist_sigma_path(V, w, z).length
+        dzw = dist_sigma_path(V, z, w)
+        dwz = dist_sigma_path(V, w, z)
         assert dzw >= np.linalg.norm(z - w) - 1e-12
         assert abs(dzw - dwz) < 1e-8
 
@@ -143,21 +145,33 @@ def test_dist_triangle_within_slack():
     V = quadric_cone()
     pts = sample_link(V, 3, 29).points / np.sqrt(3)
     z, v, w = pts
-    dzw = dist_sigma_path(V, z, w).length
-    dzv = dist_sigma_path(V, z, v).length
-    dvw = dist_sigma_path(V, v, w).length
+    dzw = dist_sigma_path(V, z, w)
+    dzv = dist_sigma_path(V, z, v)
+    dvw = dist_sigma_path(V, v, w)
     slack = 2 * (np.linalg.norm(z - w) / measure._CHORD_STEPS)
     assert dzw <= dzv + dvw + slack + 1e-9
 
 
-def test_dist_to_origin_and_near_singular_flag():
-    V = quadric_cone()
-    z = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
-    d = dist_sigma_path(V, z, np.zeros(3)).length
-    assert abs(d - 1.0) < 1e-6
-    # antipodal-ish pair on a cone routes near the origin
-    path = dist_sigma_path(V, z * 0.5, -z * 0.5)
-    assert path.length >= np.linalg.norm(z) * 0.5
+@pytest.mark.parametrize(
+    "make", [line2, quadric_cone, cone6, cusp, twisted_cubic, monomial_curve]
+)
+def test_dist_to_origin(make):
+    # an endpoint at the origin takes the projected chord like any other:
+    # every node projects from link points moved along their scaling
+    # orbits, and on a cone the chord lies on the variety, so the bound is
+    # the chord's length
+    V = make()
+    origin = np.zeros(V.ambient_dim, dtype=complex)
+    for p in sample_link(V, 5, 37).points:
+        for t in (1.0, 0.3, 0.01):
+            z = act(t, V.weights, p)
+            for d in (dist_sigma_path(V, z, origin), dist_sigma_path(V, origin, z)):
+                assert d >= np.linalg.norm(z)
+                if V.weights.is_unit:
+                    assert abs(d - np.linalg.norm(z)) <= 1e-12 * np.linalg.norm(z)
+    if V.weights.is_unit:
+        # antipodal pair on a cone: the chord runs through the origin
+        assert dist_sigma_path(V, p * 0.5, -p * 0.5) >= np.linalg.norm(p)
 
 
 def _quadric_pair():
@@ -175,9 +189,9 @@ def test_dist_projects_the_chord_once(monkeypatch):
         return project_batch(variety, pts, *args, **kwargs)
 
     monkeypatch.setattr(measure, "project_batch", counting)
-    path = dist_sigma_path(V, z, w)
+    d = dist_sigma_path(V, z, w)
     assert calls == [25]
-    assert path.length >= np.linalg.norm(z - w)
+    assert d >= np.linalg.norm(z - w)
 
 
 def test_dist_projection_failure_raises(monkeypatch):
