@@ -160,33 +160,28 @@ class Chart:
 
 def chart_frames(variety: Variety, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
     """Chart frames of a batch of anchors (N, n): pivots (N,), free (N, m)
-    and dependent (N, r) indices, the free coordinates (N, m) and a rank
-    mask (N,); nothing is validated (see `build_chart`).  The pivot
-    maximizes |anchor_k|.  The other Jacobian columns give the r = n - d
-    dependent ones by column-pivoted Gram-Schmidt in LAPACK's pivoted-QR
-    order (swap the column of largest residual norm into place, project it
-    out of the later ones); the free ones are the rest, in that order.  A
-    row passes if the r leading norms, and no norm left after them, exceed
-    1e-10 times the first: pivoted QR's rank rule."""
+    and dependent (N, r) indices and the free coordinates (N, m); nothing
+    is validated (see `build_chart`).  The pivot maximizes |anchor_k|.  The
+    other Jacobian columns give the r = n - d dependent ones by
+    column-pivoted Gram-Schmidt in LAPACK's pivoted-QR order (swap the
+    column of largest residual norm into place, project it out of the later
+    ones); the free ones are the rest, in that order."""
     N, n = anchors.shape
     r, rows = n - variety.pure_dim, np.arange(N)
     pivots = np.argmax(np.abs(anchors), axis=1)
     cols = np.tile(np.arange(n - 1), (N, 1))
     cols += cols >= pivots[:, None]  # each row's columns other than its pivot
     C = np.take_along_axis(variety.jacobian(anchors), cols[:, None, :], axis=2)  # (N, K, n-1)
-    lead = np.zeros((N, r))
     for i in range(r):
         norms = np.linalg.norm(C[:, :, i:], axis=1)
         j = i + np.argmax(norms, axis=1)
-        lead[:, i] = norms.max(axis=1)
+        top = norms.max(axis=1)
         cols[rows, i], cols[rows, j] = cols[rows, j], cols[rows, i]
         C[rows, :, i], C[rows, :, j] = C[rows, :, j], C[rows, :, i]
-        q = C[:, :, i] / np.where(lead[:, i] > 0, lead[:, i], 1.0)[:, None]
+        q = C[:, :, i] / np.where(top > 0, top, 1.0)[:, None]
         tail = C[:, :, i + 1:]
         tail -= q[:, :, None] * np.sum(q.conj()[:, :, None] * tail, axis=1, keepdims=True)
-    rest = np.linalg.norm(C[:, :, r:], axis=1).max(axis=1, initial=0.0)
-    ok = np.all(lead > 1e-10 * lead[:, :1], axis=1) & (rest <= 1e-10 * lead[:, 0])
-    return pivots, cols[:, r:], cols[:, :r], np.take_along_axis(anchors, cols[:, r:], axis=1), ok
+    return pivots, cols[:, r:], cols[:, :r], np.take_along_axis(anchors, cols[:, r:], axis=1)
 
 
 def chart_views(variety: Variety, anchors, pivots, free, dep, x_anchors) -> list[Chart]:
@@ -201,12 +196,11 @@ def build_chart(variety: Variety, anchor) -> Chart:
     anchor = np.asarray(anchor, dtype=np.complex128)
     if variety.pure_dim is None:
         raise ValueError("build_chart requires pure_dim")
+    # the origin of a smooth cone (line2) is regular, but anchors no chart
     if np.linalg.norm(anchor) == 0.0 or not is_regular(variety, anchor):
         raise SingularAnchor(f"anchor {anchor} is not a regular point")
-    *frames, ok = chart_frames(variety, anchor[None, :])
+    frames = chart_frames(variety, anchor[None, :])
     top = abs(anchor[frames[0][0]])
     if top < 1.0 - 1e-9:
         raise PivotTooSmall(f"max |anchor_k| = {top:.3g} < 1; rescale to the link first")
-    if not ok[0]:
-        raise ImplicitFunctionFailure("slice Jacobian rank != expected corank at the anchor")
     return chart_views(variety, anchor[None, :], *frames)[0]

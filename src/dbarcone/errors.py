@@ -30,7 +30,7 @@ class PivotTooSmall(DbarConeError):
 
 
 class ImplicitFunctionFailure(DbarConeError):
-    pass
+    """A slice point's dependent Jacobian block is singular (`slice_tangents`)."""
 
 
 class NewtonDivergence(DbarConeError):

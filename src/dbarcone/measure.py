@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import chart_frames, chart_views, slice_newton, slice_tangents
+from .charts import chart_frames, slice_newton, slice_tangents
 from .errors import (
     InsufficientSamples,
     NotACone,
@@ -121,17 +121,16 @@ def sample_link(variety: Variety, count: int, rng_seed: int) -> LinkSample:
 
 def link_frames(variety: Variety, count: int, rng_seed: int) -> tuple[np.ndarray, ...]:
     """Anchors (A, n) and `chart_frames` rows of the charts at `count` link
-    points of a cone; rows failing the rank mask, a safety net (`sample_link`
-    keeps only regular points with a coordinate of modulus >= 1), are dropped."""
+    points of a cone.  `sample_link` keeps only regular points with a
+    coordinate of modulus >= 1, so every row is a valid chart frame."""
     if not variety.weights.is_unit:
         raise NotACone("link charts require unit weights")
     if variety.pure_dim is None:
         raise ValueError("link charts require pure_dim")
     anchors = sample_link(variety, count, rng_seed).points
-    *frames, ok = chart_frames(variety, anchors)
-    if not ok.any():
-        raise InsufficientSamples("no usable chart anchors")
-    return tuple(a[ok] for a in (anchors, *frames))
+    if not anchors.shape[0]:
+        raise InsufficientSamples("no chart anchors")
+    return (anchors, *chart_frames(variety, anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +151,16 @@ class ConeAtlas:
     2 charts; a curve (m = 0) has no slice box and accepts one chart."""
 
     def __init__(self, variety: Variety, n_anchors: int, rng_seed: int):
-        # the stacked frames are the chart data; `charts` views their rows
+        # the stacked frames are the only chart data; chart i is row i
         frames = link_frames(variety, n_anchors, rng_seed)
         self.anchors, self.pivots, self.free, self.dep, self.x_anchors = frames
-        self.charts = chart_views(variety, *frames)
         self.variety = variety
         self.d, self.m = variety.pure_dim, variety.pure_dim - 1
         self.unit_anchors = np.stack([a / np.linalg.norm(a) for a in self.anchors])
         if self.m:
-            if len(self.charts) < 2:
+            if len(self.anchors) < 2:
                 raise InsufficientSamples(
-                    f"a surface atlas needs 2 charts to size its boxes, got {len(self.charts)}"
+                    f"a surface atlas needs 2 charts to size its boxes, got {len(self.anchors)}"
                 )
             U = self.unit_anchors
             dd = np.linalg.norm(U[:, None, :] - U[None, :, :], axis=2)
@@ -231,7 +229,7 @@ class ConeAtlas:
         `slice_newton`).  Each Newton starts from its chart anchor's branch:
         started from the point itself it would accept points on another
         branch of the slice, which another chart also counts."""
-        dists = np.empty((pts.shape[0], len(self.charts)))
+        dists = np.empty((pts.shape[0], len(self.anchors)))
         for a, anchor in enumerate(self.unit_anchors):  # no (N, A, n) temporary
             dists[:, a] = np.linalg.norm(pts - anchor, axis=1)
         order = np.argsort(dists, axis=1)
@@ -308,7 +306,7 @@ def _cone_mc(
         atlas = ConeAtlas(variety, 24, rng_seed)
     d = atlas.d
     m = atlas.m
-    A = len(atlas.charts)
+    A = len(atlas.anchors)
     per = max(16, n_samples // A)
     N = A * per
     rngs = [np.random.default_rng((rng_seed, 0xA7145, i)) for i in range(A)]

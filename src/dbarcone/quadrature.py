@@ -69,12 +69,14 @@ class QuadratureParams:
     max_panels: int = 24000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_refinement_depth < 1:
             raise ValueError("max_refinement_depth must be >= 1")
-        if self.singular_exclusion is not None and self.singular_exclusion < 0:
-            raise ValueError("singular_exclusion must be >= 0")
+        eps = self.singular_exclusion
+        if eps is not None and not 0 <= eps < math.inf:
+            raise ValueError("singular_exclusion must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def holder_report(
     projected chord of `dist_sigma_path` from above, the ambient chord from
     below.
     The pairs come from the charts of `link_frames`, so a variety that is
-    not a cone raises NotACone and a link on which no chart builds raises
+    not a cone raises NotACone and a link that cannot be sampled raises
     InsufficientSamples, as for `ConeAtlas`; one chart is enough.
     """
     if not (0 < theta < 1):

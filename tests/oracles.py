@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from dbarcone import measure
-from dbarcone.charts import slice_tangents
+from dbarcone.charts import chart_views, slice_tangents
 from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult
 
@@ -86,24 +86,20 @@ def chart_frames_by_qr(variety, anchors: np.ndarray):
     """Reference for charts.chart_frames, one anchor at a time through
     LAPACK's pivoted QR of the slice Jacobian (the columns other than the
     pivot argmax |anchor_k|): the first r = n - d pivoted columns are the
-    dependent ones, the rest the free ones, and a row passes when the count
-    of |R_ii| above 1e-10 |R_00| equals r.  Returns (pivots, free, dep,
-    x_anchors, ok)."""
+    dependent ones, the rest the free ones.  Returns (pivots, free, dep,
+    x_anchors)."""
     N, n = anchors.shape
     r = n - variety.pure_dim
     pivots = np.empty(N, dtype=np.intp)
     perms = np.empty((N, n - 1), dtype=np.intp)
-    ok = np.empty(N, dtype=bool)
     for i, anchor in enumerate(anchors):
         pivots[i] = np.argmax(np.abs(anchor))
         others = np.array([k for k in range(n) if k != pivots[i]])
-        _, R, perm = scipy.linalg.qr(variety.jacobian(anchor)[:, others], pivoting=True,
-                                     mode="economic")
-        diag = np.abs(np.diag(R))
-        ok[i] = np.sum(diag > 1e-10 * (diag[0] if diag.size else 1.0)) == r
+        perm = scipy.linalg.qr(variety.jacobian(anchor)[:, others], pivoting=True,
+                               mode="economic")[2]
         perms[i] = others[perm]
     free = perms[:, r:]
-    return pivots, free, perms[:, :r], np.stack([a[f] for a, f in zip(anchors, free)]), ok
+    return pivots, free, perms[:, :r], np.stack([a[f] for a, f in zip(anchors, free)])
 
 
 def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:
@@ -120,6 +116,12 @@ def nearest_covering_chart(atlas, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def atlas_charts(atlas) -> list:
+    """`Chart` views of an atlas's stacked frame rows."""
+    return chart_views(atlas.variety, atlas.anchors, atlas.pivots, atlas.free, atlas.dep,
+                       atlas.x_anchors)
+
+
 def cone_mc_by_charts(variety, rho, n_samples, rng_seed, point_fn=None, form=None, atlas=None):
     """Reference for measure._cone_mc, one chart at a time: chart i draws
     its phases, box samples and radii from its own stream, solves its box
@@ -127,11 +129,11 @@ def cone_mc_by_charts(variety, rho, n_samples, rng_seed, point_fn=None, form=Non
     keeps the points assigned to it.  Same arguments and result."""
     if atlas is None:
         atlas = measure.ConeAtlas(variety, 24, rng_seed)
-    d, m, A = atlas.d, atlas.m, len(atlas.charts)
+    d, m, A = atlas.d, atlas.m, len(atlas.anchors)
     per = max(16, n_samples // A)
     total = var_total = 0.0
     newton_failures = 0
-    for i, chart in enumerate(atlas.charts):
+    for i, chart in enumerate(atlas_charts(atlas)):
         rng = np.random.default_rng((rng_seed, 0xA7145, i))
         phi = rng.uniform(0.0, 2.0 * math.pi, per)
         if m:
@@ -177,7 +179,7 @@ def cone_mc_by_charts(variety, rho, n_samples, rng_seed, point_fn=None, form=Non
 def in_box(atlas, j: int, pts: np.ndarray) -> np.ndarray:
     """Whether each unit point's slice coordinates for chart j fall in that
     chart's parameter box."""
-    c, delta = atlas.charts[j], atlas.delta
+    c, delta = atlas_charts(atlas)[j], atlas.delta
     s = pts[:, c.pivot] / c.anchor[c.pivot]
     hit = np.zeros(pts.shape[0], dtype=bool)
     for i in np.flatnonzero(np.abs(s) > 1e-12):

@@ -9,7 +9,7 @@ from dbarcone.errors import (
 )
 from dbarcone.fixtures import cone6, cusp, line2, make_form, quadric_cone
 from dbarcone.measure import sample_link
-from dbarcone.variety import contains, is_regular
+from dbarcone.variety import contains, is_regular, regular_batch
 
 from oracles import chart_frames_by_qr, fd_chart_pullback
 
@@ -30,8 +30,8 @@ def quadric_chart():
 
 def assert_frames_equal(V, anchors):
     got, ref = chart_frames(V, anchors), chart_frames_by_qr(V, anchors)
+    assert len(got) == len(ref) == 4
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-    return got[-1]
 
 
 @pytest.mark.parametrize("make, count", [(line2, 200), (cone6, 400), (quadric_cone, 2000)],
@@ -39,9 +39,11 @@ def assert_frames_equal(V, anchors):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chart_frames_match_pivoted_qr(make, count, seed):
     # pivots, free and dep of every sampled anchor equal LAPACK's pivoted
-    # QR of its slice Jacobian, and every link anchor passes the mask
+    # QR of its slice Jacobian, and every link anchor is regular
     V = make()
-    assert assert_frames_equal(V, sample_link(V, count, seed).points).all()
+    anchors = sample_link(V, count, seed).points
+    assert_frames_equal(V, anchors)
+    assert regular_batch(V, anchors).all()
 
 
 @pytest.mark.parametrize(
@@ -50,20 +52,7 @@ def test_chart_frames_match_pivoted_qr(make, count, seed):
 )
 def test_chart_frames_tie_anchors_match_pivoted_qr(make, anchor):
     # every |anchor_k| ties on the quadric; the line's slice is one column
-    assert assert_frames_equal(make(), np.array([anchor], dtype=complex)).all()
-
-
-@pytest.mark.parametrize("make", [line2, cone6, quadric_cone], ids=lambda f: f.__name__)
-def test_chart_frames_mask_matches_pivoted_qr_rank(make):
-    # off the variety and at the origin some rows fail the rank rule (a
-    # vanishing gradient, or line2's pivot column z2); the mask flags the
-    # rows that pivoted QR flags
-    V = make()
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((100, V.ambient_dim)) + 1j * rng.standard_normal((100, V.ambient_dim))
-    pts[:2] = 0.0
-    ok = assert_frames_equal(V, pts)
-    assert ok.any() and not ok.all()
+    assert_frames_equal(make(), np.array([anchor], dtype=complex))
 
 
 def test_line_chart_shape(line_chart):
@@ -76,6 +65,9 @@ def test_line_chart_shape(line_chart):
 def test_singular_anchor_rejected():
     with pytest.raises(SingularAnchor):
         build_chart(quadric_cone(), [0.0, 0.0, 0.0])
+    # the origin of the line is a regular point, but anchors no chart
+    with pytest.raises(SingularAnchor):
+        build_chart(line2(), [0.0, 0.0])
 
 
 def test_pivot_too_small_rejected():

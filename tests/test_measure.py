@@ -226,7 +226,7 @@ def test_assign_matches_nearest_covering_loop(make, n_anchors):
         # the other square root, cone6 points on lines no anchor lies on
         assert (ref[:100] < 0).any()
     if atlas.m:
-        assert not all(in_box(atlas, j, unit).all() for j in range(len(atlas.charts)))
+        assert not all(in_box(atlas, j, unit).all() for j in range(len(atlas.anchors)))
 
 
 @pytest.mark.parametrize(
@@ -256,7 +256,7 @@ def test_assign_one_chart_curve_atlas():
     # a curve atlas may hold one chart; then no point has a second rank
     V = line2()
     atlas = ConeAtlas(V, 1, 5)
-    assert len(atlas.charts) == 1
+    assert len(atlas.anchors) == 1
     link = sample_link(V, 50, 6).points
     rng = np.random.default_rng(7)
     off = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
@@ -282,23 +282,6 @@ def test_estimate_does_not_depend_on_assign_batching(monkeypatch):
     assert run() == est
 
 
-def test_atlas_skips_failed_charts(monkeypatch):
-    # a row that fails the rank mask is dropped; the others keep their order
-    frames = measure.chart_frames
-    rows = []
-
-    def first_fails(variety, anchors):
-        *rest, ok = frames(variety, anchors)
-        rows.append(anchors.shape[0])
-        ok[0] = False
-        return *rest, ok
-
-    monkeypatch.setattr(measure, "chart_frames", first_fails)
-    atlas = ConeAtlas(quadric_cone(), 5, 3)
-    assert rows == [5] and len(atlas.charts) == 4
-    assert np.array_equal(atlas.anchors, sample_link(quadric_cone(), 5, 3).points[1:])
-
-
 def test_atlas_build_propagates_unexpected_errors(monkeypatch):
     def broken(variety, anchors):
         raise RuntimeError("bug in chart construction")
@@ -308,15 +291,11 @@ def test_atlas_build_propagates_unexpected_errors(monkeypatch):
         ConeAtlas(quadric_cone(), 5, 3)
 
 
-def test_atlas_charts_are_views_of_its_frames():
-    # every chart is its atlas row: anchor, pivot, free, dep and x_anchor
-    atlas = ConeAtlas(quadric_cone(), 24, 3)
-    for i, c in enumerate(atlas.charts):
-        assert np.shares_memory(c.anchor, atlas.anchors)
-        assert np.array_equal(c.anchor, atlas.anchors[i]) and c.pivot == atlas.pivots[i]
-        assert c.free == tuple(atlas.free[i]) and c.dep == tuple(atlas.dep[i])
-        assert np.shares_memory(c.x_anchor, atlas.x_anchors)
-        assert np.array_equal(c.x_anchor, atlas.x_anchors[i])
+@pytest.mark.parametrize("make", [line2, quadric_cone], ids=lambda f: f.__name__)
+def test_atlas_without_anchors_rejected(make):
+    # zero anchors is a typed error, not a failure to stack no rows
+    with pytest.raises(InsufficientSamples):
+        ConeAtlas(make(), 0, 5)
 
 
 def test_one_chart_surface_atlas_rejected():
@@ -325,7 +304,7 @@ def test_one_chart_surface_atlas_rejected():
     with pytest.raises(InsufficientSamples, match="2 charts"):
         ConeAtlas(quadric_cone(), 1, 5)
     atlas = ConeAtlas(line2(), 1, 5)
-    assert len(atlas.charts) == 1 and atlas.delta == 0.0
+    assert len(atlas.anchors) == 1 and atlas.delta == 0.0
 
 
 def _norm2(Z):

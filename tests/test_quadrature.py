@@ -96,6 +96,15 @@ def test_two_singular_points_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "singular_exclusion"])
+def test_params_reject_non_finite(field, bad):
+    # a nan tolerance drops out of the stop test and an inf one stops at
+    # once; a non-finite exclusion fails deep in the kernel
+    with pytest.raises(ValueError, match=field):
+        QuadratureParams(**{field: bad})
+
+
 def test_no_convergence_names_exhausted_budget():
     def K(w):
         return (np.abs(w - 0.3) < 0.4).astype(complex) / (w - 0.5)

@@ -10,7 +10,7 @@ import pytest
 
 from dbarcone.charts import build_chart, chart_frames, slice_newton, slice_tangents
 from dbarcone.measure import sample_link, surface_integral
-from dbarcone.variety import SparsePolynomial, Variety, Weights
+from dbarcone.variety import SparsePolynomial, Variety, Weights, regular_batch
 
 from oracles import chart_frames_by_qr, cone_mc_by_charts
 
@@ -35,7 +35,9 @@ def test_chart_frames_match_pivoted_qr(cubic, seed):
     # Jacobian pick LAPACK's dependent columns, in its order
     anchors = sample_link(cubic, 2000, seed).points
     got, ref = chart_frames(cubic, anchors), chart_frames_by_qr(cubic, anchors)
-    assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and got[-1].all()
+    assert len(got) == len(ref) == 4
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    assert regular_batch(cubic, anchors).all()
 
 
 @pytest.fixture(scope="module")

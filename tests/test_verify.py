@@ -107,13 +107,11 @@ def test_holder_report_rejects_weighted_variety(line_form):
 
 
 def test_holder_report_without_charts(monkeypatch, cone_form):
-    frames = measure.chart_frames
+    # a link on which no point projects has no chart anchors
+    def failed(variety, Z, **kw):
+        return Z, np.zeros(Z.shape[0], dtype=bool)
 
-    def rejected(variety, anchors):
-        *rest, ok = frames(variety, anchors)
-        return *rest, np.zeros_like(ok)
-
-    monkeypatch.setattr(measure, "chart_frames", rejected)
+    monkeypatch.setattr(measure, "project_batch", failed)
     with pytest.raises(InsufficientSamples):
         holder_report(quadric_cone(), cone_form, 0.5, 1.0, 6, 8)
 
@@ -121,15 +119,13 @@ def test_holder_report_without_charts(monkeypatch, cone_form):
 def test_holder_report_with_one_usable_chart(monkeypatch, cone_form):
     # one chart gives every pair kind; the atlas's rule that a surface
     # needs 2 charts to size its boxes does not apply to holder_report
-    frames = measure.chart_frames
+    frames = measure.link_frames
 
-    def three_rejected(variety, anchors):
-        *rest, ok = frames(variety, anchors)
-        assert ok.all()
-        ok[1:] = False
-        return *rest, ok
+    def first_row(variety, count, rng_seed):
+        return tuple(a[:1] for a in frames(variety, count, rng_seed))
 
-    monkeypatch.setattr(measure, "chart_frames", three_rejected)
+    monkeypatch.setattr(verify, "link_frames", first_row)
+    monkeypatch.setattr(measure, "link_frames", first_row)
     rep = holder_report(quadric_cone(), cone_form, 0.5, 1.0, 6, 8, scale_factors=(1.0,))
     assert [p.kind for p in rep.pairs] == ["line"] * 2 + ["slice"] * 2 + ["general"] * 2
     assert np.isfinite(rep.empirical_constant)
