@@ -141,14 +141,7 @@ class Chart:
         F0  = sum_k f_k(Pi) beta_k conj(s^(beta_k - 1) y_k)
         F_j = sum_{k != pivot} f_k(Pi) conj(s^beta_k dy_k/dx_j)
         """
-        return self.pullback_at_slice(form, s, self.slice_point(x))
-
-    def pullback_at_slice(
-        self, form: ZeroOneForm, s: complex, y: np.ndarray
-    ) -> tuple[complex, np.ndarray]:
-        """`pullback_form` at a solved slice point y = y(x), for callers
-        that reuse y."""
-        s = complex(s)
+        s, y = complex(s), self.slice_point(x)
         beta = self.variety.weights.as_array()
         z = act(s, self.variety.weights, y)
         f = form.coeff_matrix(z.reshape(1, -1))[0]  # (n,)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charts import Chart, build_chart, chart_views
-from .errors import StepTooSmall
+from .errors import NewtonDivergence, StepTooSmall
 from .forms import ZeroOneForm
 from .measure import (
     ConeAtlas,
@@ -30,6 +30,13 @@ from .solver import solve, solve_l2
 from .variety import Variety, act
 
 SolverHandle = Callable[[np.ndarray], complex]
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless `value` (a number or a sequence) is non-empty, finite and > 0."""
+    vals = np.asarray(value, dtype=float).ravel()
+    if vals.size == 0 or not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,37 +73,36 @@ class ResidualReport:
         return float(np.median(self.all_residuals()))
 
 
-def _wirtinger_bar(G: Callable[[complex], complex], c: complex, h: float) -> complex:
-    """Central-difference antiholomorphic derivative:
-    [(G(c+h) - G(c-h)) + i (G(c+ih) - G(c-ih))] / (4h)."""
-    return ((G(c + h) - G(c - h)) + 1j * (G(c + 1j * h) - G(c - 1j * h))) / (4.0 * h)
-
-
-def _residual_at(
-    chart: Chart,
-    form: ZeroOneForm,
-    solver_handle: SolverHandle,
-    s: complex,
-    x: np.ndarray,
-    h: float,
-    norm: float,
-) -> tuple[float, list[float]]:
-    y = chart.slice_point(x)
-    F0, FJ = chart.pullback_at_slice(form, s, y)
-    weights = chart.variety.weights
-    step = h * max(1.0, abs(s))
-    d_s = _wirtinger_bar(lambda c: solver_handle(act(complex(c), weights, y)), s, step)
-    res_s = abs(d_s - F0) / norm
-    res_x = []
-    for j in range(chart.slice_dim):
-        def G(c: complex, j=j) -> complex:
-            xx = x.copy()
-            xx[j] = c
-            return solver_handle(chart.eval(s, xx))
-
-        d_j = _wirtinger_bar(G, complex(x[j]), h * max(1.0, abs(x[j])))
-        res_x.append(abs(d_j - FJ[j]) / norm)
-    return res_s, res_x
+def _residuals(
+    chart: Chart, form: ZeroOneForm, solver_handle: SolverHandle,
+    samples: Sequence[tuple[complex, np.ndarray]], h: float, norm: float,
+) -> list[list[float]]:
+    """Residuals [res_s, res_x_1, ..., res_x_m] of each sample (s, x) at step h: each
+    parameter c of (s, x), with k = h max(1, |c|), has the stencil c +- k, c +- ik, all
+    solved in one slice batch, and [(G(c+k) - G(c-k)) + i (G(c+ik) - G(c-ik))] / (4k)
+    of G = g(Pi(s, x)) is compared with the pullback coefficient of c."""
+    rows, steps = [], []  # rows: (s, x_1, ..., x_m) of each stencil point
+    for s, x in samples:
+        params = [s, *x]
+        for j, c in enumerate(params):
+            k = h * max(1.0, abs(c))
+            c = complex(c)
+            steps.append(k)
+            for v in (c + k, c - k, c + 1j * k, c - 1j * k):
+                rows.append(params[:j] + [v] + params[j + 1:])
+    X = np.array([r[1:] for r in rows], dtype=np.complex128)  # (N, m)
+    Y, ok = chart.slice_batch(X)
+    if not ok.all():
+        raise NewtonDivergence(f"slice Newton failed at x = {X[np.argmin(ok)]}")
+    g = [solver_handle(act(complex(r[0]), chart.variety.weights, y)) for r, y in zip(rows, Y)]
+    d = [((g[i] - g[i + 1]) + 1j * (g[i + 2] - g[i + 3])) / (4.0 * k)
+         for i, k in zip(range(0, len(g), 4), steps)]
+    out = []
+    for i, (s, x) in enumerate(samples):
+        F0, FJ = chart.pullback_form(form, s, x)
+        D = d[i * (1 + chart.slice_dim):]
+        out.append([abs(dc - F) / norm for dc, F in zip(D, [F0, *FJ])])
+    return out
 
 
 def _chart_box_sample(
@@ -136,39 +142,31 @@ def dbar_residual(
     step-halving probe raises StepTooSmall when quadrature noise dominates
     the finite differences.
     """
+    _require_positive("fd_step", fd_step)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     chart = build_chart(variety, anchor)
     rng = np.random.default_rng(rng_seed)
-    norm = 1.0 + form.sup_bound
-
-    def draw():
-        return _chart_box_sample(rng, chart, 0.85 * form.support_radius, 0.15, 0.3)
-
+    norm, reach = 1.0 + form.sup_bound, 0.85 * form.support_radius
+    probe = [_chart_box_sample(rng, chart, reach, 0.15, 0.3)] if check_step else []
+    samples = [_chart_box_sample(rng, chart, reach, 0.15, 0.3) for _ in range(n_samples)]
     if check_step:
-        s0, x0 = draw()
-        r_h, rx_h = _residual_at(chart, form, solver_handle, s0, x0, fd_step, norm)
-        r_2, rx_2 = _residual_at(chart, form, solver_handle, s0, x0, fd_step / 2, norm)
-        lead_h = max([r_h] + rx_h)
-        lead_2 = max([r_2] + rx_2)
+        lead_h = max(_residuals(chart, form, solver_handle, probe, fd_step, norm)[0])
+        lead_2 = max(_residuals(chart, form, solver_handle, probe, fd_step / 2, norm)[0])
         if lead_2 > 2.5 * lead_h + 1e-12:
             raise StepTooSmall(
                 f"halving fd_step raised the residual from {lead_h:.3e} to "
                 f"{lead_2:.3e}; quadrature noise dominates"
             )
-
-    samples = []
-    for _ in range(n_samples):
-        s, x = draw()
-        res_s, res_x = _residual_at(chart, form, solver_handle, s, x, fd_step, norm)
-        samples.append(
-            ResidualSample(
-                s=s, x=tuple(complex(v) for v in x), residual_s=res_s,
-                residual_x=tuple(res_x),
-            )
-        )
+    residuals = _residuals(chart, form, solver_handle, samples, fd_step, norm)
     return ResidualReport(
         anchor=tuple(complex(v) for v in chart.anchor),
         fd_step=fd_step,
-        samples=tuple(samples),
+        samples=tuple(
+            ResidualSample(s=s, x=tuple(complex(v) for v in x), residual_s=res[0],
+                           residual_x=tuple(res[1:]))
+            for (s, x), res in zip(samples, residuals)
+        ),
     )
 
 
@@ -219,6 +217,8 @@ def holder_report(
     """
     if not (0 < theta < 1):
         raise ValueError("theta must lie in (0, 1)")
+    _require_positive("radius", radius)
+    _require_positive("scale_factors", scale_factors)
     rng = np.random.default_rng(rng_seed)
     charts = chart_views(variety, *link_frames(variety, 4, rng_seed ^ 0x51C3))
 
@@ -319,6 +319,7 @@ def l2_report(
     """Monte Carlo estimate of |g|_{L2(Sigma cap B_R)} / |lambda|_{L2} with
     g from the L2 solution operator; both norms share one stratified atlas.
     """
+    _require_positive("radius", radius)
     atlas = ConeAtlas(variety, n_anchors, rng_seed ^ 0xA71A5)
 
     def g_point(Z: np.ndarray) -> np.ndarray:
@@ -391,6 +392,7 @@ def measure_scaling_check(
 
     integrand "norm2" uses |z|^2 (expected exponent 2d + 2); "one" uses the
     plain measure (expected 2d).  The slope needs at least 2 distinct radii."""
+    _require_positive("radii", radii)
     if len(set(radii)) < 2:
         raise ValueError(f"need at least 2 distinct radii, got {list(radii)}")
     if integrand == "norm2":

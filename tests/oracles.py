@@ -3,8 +3,9 @@
 These deliberately avoid the package's adaptive quadrature: planar
 transforms are brute-force midpoint grid sums with the Cauchy singularity
 subtracted analytically, pullbacks are finite differences through the
-chart map, the batched chart, variety and cone Monte Carlo code is
-checked against one-point, one-chart and one-row loops, and the lean
+chart map, the batched chart, variety and cone Monte Carlo code and the
+dbar residual's stencil are checked against one-point, one-chart and
+one-row loops, and the lean
 integrand and panel paths and the closed-form Newton steps are checked
 against the general formulas they shortcut."""
 
@@ -19,6 +20,7 @@ from dbarcone import measure
 from dbarcone.charts import chart_views, slice_tangents
 from dbarcone.quadrature import _GAUSS, PlanarIntegrand, integrate_plane
 from dbarcone.solver import SolveResult
+from dbarcone.variety import act
 
 
 def disk_cauchy_mean(z: complex, W: float) -> complex:
@@ -80,6 +82,32 @@ def fd_chart_pullback(chart, form, s: complex, x, h: float = 1e-6):
         d_j = (chart.eval(s, xp) - chart.eval(s, xm)) / (2 * h)
         FJ.append(complex(np.sum(fvals * np.conj(d_j))))
     return F0, np.asarray(FJ, dtype=np.complex128)
+
+
+def residual_by_points(chart, form, solver_handle, s: complex, x, h: float, norm: float):
+    """(res_s, [res_x_j]) of one dbar-residual sample (s, x), one stencil
+    point at a time: `act` on the sample's slice point for the s-stencil,
+    `Chart.eval` at each x-stencil point, and the central Wirtinger
+    difference [(G(c+k) - G(c-k)) + i (G(c+ik) - G(c-ik))] / (4k) with
+    k = h max(1, |c|)."""
+    def wirtinger_bar(G, c, k):
+        return ((G(c + k) - G(c - k)) + 1j * (G(c + 1j * k) - G(c - 1j * k))) / (4.0 * k)
+
+    y = chart.slice_point(x)
+    F0, FJ = chart.pullback_form(form, s, x)
+    weights = chart.variety.weights
+    d_s = wirtinger_bar(lambda c: solver_handle(act(complex(c), weights, y)), s,
+                        h * max(1.0, abs(s)))
+    res_x = []
+    for j in range(chart.slice_dim):
+        def G(c, j=j):
+            xx = x.copy()
+            xx[j] = c
+            return solver_handle(chart.eval(s, xx))
+
+        d_j = wirtinger_bar(G, complex(x[j]), h * max(1.0, abs(x[j])))
+        res_x.append(abs(d_j - FJ[j]) / norm)
+    return abs(d_s - F0) / norm, res_x
 
 
 def chart_frames_by_qr(variety, anchors: np.ndarray):

@@ -2,7 +2,8 @@
 imports the package and parses its options: `--help` exits 0.
 `scripts/op_digest.py --values` also runs one benchmark cycle, and
 `--configs` hashes the JSON and CSV report of every `configs/*.json`;
-`scripts/est_calibration.py` calibrates one solve-grid cycle."""
+`scripts/est_calibration.py` calibrates one solve-grid cycle, and
+`scripts/fd_step_study.py` takes residuals at each of its steps."""
 
 import ast
 import os
@@ -82,3 +83,23 @@ def test_est_calibration_on_one_solve_grid_cycle():
         band, ops, raised, failed, min_ratio, median, max_err, floor_only = row.split()
         assert (int(ops), int(raised), int(failed), int(floor_only)) == (7, 0, 0, 0)
         assert 1.0 <= float(min_ratio) <= float(median) and float(max_err) >= 0.0
+
+
+@pytest.mark.parametrize("fixture", ["line2", "quadric-cone"])
+def test_fd_step_study_prints_one_line_per_step(fixture):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fd_step_study.py"), "--fixture", fixture,
+         "--samples", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.startswith(f"fixture {fixture};")
+    steps = []
+    for row in rows:
+        label, step, med_label, median, max_label, largest = row.replace(":", "").split()
+        assert (label, med_label, max_label) == ("fd_step", "median", "max")
+        assert 0.0 <= float(median) <= float(largest) < 1.0
+        steps.append(float(step))
+    assert steps == [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5]

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dbarcone import measure, verify
-from dbarcone.errors import InsufficientSamples, NotACone
+from dbarcone import charts, measure, verify
+from dbarcone.charts import build_chart
+from dbarcone.errors import InsufficientSamples, NewtonDivergence, NotACone
 from dbarcone.fixtures import cusp, line2, make_form, quadric_cone
 from dbarcone.measure import SurfaceEstimate, sample_link
 from dbarcone.quadrature import QuadratureParams
@@ -13,6 +19,7 @@ from dbarcone.verify import (
     l2_report,
     measure_scaling_check,
 )
+from oracles import residual_by_points
 
 PARAMS = QuadratureParams(rel_tol=1e-8, abs_tol=1e-11)
 
@@ -71,6 +78,82 @@ def test_residual_fd_step_convergence(line_form):
         )
         meds.append(rep.median_residual)
     assert meds[1] <= 2.0 * meds[0] + 1e-7
+
+
+RESIDUAL_CASES = {
+    "line2": (line2, 2, None, solve),
+    "quadric-cone/solve": (quadric_cone, 3, 5, solve),
+    "quadric-cone/solve_l2": (quadric_cone, 3, 5, solve_l2),
+    "cusp": (cusp, 2, 6, solve),
+}
+
+
+@pytest.mark.parametrize("check_step", [False, True])
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_matches_per_point_oracle(monkeypatch, case, check_step):
+    # one slice solve for every stencil point of a call, then one per
+    # pullback; values and their types equal the one-point-at-a-time path
+    make, n, link_seed, op = RESIDUAL_CASES[case]
+    V = make()
+    form = make_form("bump-dbar", n, h_terms=[((0,) * n, 1.0), ((1,) + (0,) * (n - 1), 0.5)],
+                     r0=0.3, radius=1.0)
+    anchor = [np.sqrt(2), 0.0] if link_seed is None else sample_link(V, 1, link_seed).points[0]
+    handle = lambda z: op(V, form, z, PARAMS).value  # noqa: E731
+    rows = []
+    slice_batch = charts.Chart.slice_batch
+
+    def counted(self, X):
+        rows.append(len(X))
+        return slice_batch(self, X)
+
+    monkeypatch.setattr(charts.Chart, "slice_batch", counted)
+    rep = dbar_residual(V, form, handle, anchor, 3, 1e-4, rng_seed=7, check_step=check_step)
+    chart = build_chart(V, anchor)
+    stencil = 4 * (1 + chart.slice_dim)
+    n_probe = 1 if check_step else 0
+    assert rows == [stencil, 1] * 2 * n_probe + [3 * stencil, 1, 1, 1]
+
+    rng = np.random.default_rng(7)
+    draws = [verify._chart_box_sample(rng, chart, 0.85 * form.support_radius, 0.15, 0.3)
+             for _ in range(n_probe + 3)]
+    for smp, (s, x) in zip(rep.samples, draws[n_probe:], strict=True):
+        res_s, res_x = residual_by_points(chart, form, handle, s, x, 1e-4, 1 + form.sup_bound)
+        assert (smp.s, smp.x) == (s, tuple(complex(v) for v in x))
+        assert (smp.residual_s, smp.residual_x) == (res_s, tuple(res_x))
+        got = [smp.residual_s, *smp.residual_x]
+        assert [type(v) for v in got] == [type(v) for v in [res_s, *res_x]]
+
+
+def test_residual_names_first_failed_stencil_row(monkeypatch, cone_form):
+    # every stencil point is solved before any handle call; a failure names
+    # the first failing row
+    slice_batch = charts.Chart.slice_batch
+    batches = []
+
+    def failing(self, X):
+        Y, ok = slice_batch(self, X)
+        batches.append(X)
+        return Y, ok & (np.arange(len(ok)) < 5)
+
+    def handle(z):
+        raise AssertionError("handle called before the slice solve")
+
+    monkeypatch.setattr(charts.Chart, "slice_batch", failing)
+    V = quadric_cone()
+    with pytest.raises(NewtonDivergence) as err:
+        dbar_residual(V, cone_form, handle, sample_link(V, 1, 5).points[0], 2, 1e-4)
+    assert str(err.value) == f"slice Newton failed at x = {batches[0][5]}"
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_residual_rejects_bad_fd_step(line_form, fd_step):
+    with pytest.raises(ValueError, match="fd_step must be finite and > 0"):
+        dbar_residual(line2(), line_form, lambda z: 0j, [np.sqrt(2), 0.0], 2, fd_step)
+
+
+def test_residual_rejects_no_samples(line_form):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        dbar_residual(line2(), line_form, lambda z: 0j, [np.sqrt(2), 0.0], 0, 1e-4)
 
 
 def test_holder_report_structure(cone_form):
@@ -133,6 +216,40 @@ def test_holder_report_with_one_usable_chart(monkeypatch, cone_form):
         measure.ConeAtlas(quadric_cone(), 4, 8 ^ 0x51C3)
 
 
+def test_holder_report_rejects_bad_radius():
+    # no pair fits in a ball of radius 0, so without the check the pair
+    # sampling never returns: run it in a subprocess with a timeout
+    code = (
+        "from dbarcone.fixtures import make_form, quadric_cone\n"
+        "from dbarcone.verify import holder_report\n"
+        "form = make_form('bump-dbar', 3)\n"
+        "for radius in (0.0, -1.0, float('nan'), float('inf')):\n"
+        "    try:\n"
+        "        holder_report(quadric_cone(), form, 0.5, radius, 3, 11)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"radius must be finite and > 0, got {r}" for r in ("0.0", "-1.0", "nan", "inf")
+    ]
+
+
+@pytest.mark.parametrize("scales", [(), (0.0,), (1.0, -0.1), (float("nan"),), (float("inf"),)])
+def test_holder_report_rejects_bad_scale_factors(cone_form, scales):
+    with pytest.raises(ValueError, match="scale_factors must be finite and > 0"):
+        holder_report(quadric_cone(), cone_form, 0.5, 1.0, 3, 11, scale_factors=scales)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_l2_report_rejects_bad_radius(cone_form, radius):
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        l2_report(quadric_cone(), cone_form, radius, 100, 9)
+
+
 def test_l2_report_degenerate_zero_form():
     V = quadric_cone()
     rep = l2_report(V, make_form("zero", 3), 1.0, 400, 9)
@@ -165,6 +282,14 @@ def test_scaling_exponent_plain_measure():
 def test_scaling_needs_two_distinct_radii():
     with pytest.raises(ValueError, match="distinct radii"):
         measure_scaling_check(line2(), [0.5, 0.5], 1000, 13)
+
+
+@pytest.mark.parametrize(
+    "radii", [[0.0, 1.0], [-1.0, 1.0], [float("nan"), 1.0], [float("inf"), 1.0]]
+)
+def test_scaling_rejects_bad_radii(radii):
+    with pytest.raises(ValueError, match="radii must be finite and > 0"):
+        measure_scaling_check(line2(), radii, 1000, 13)
 
 
 def test_step_too_small_detector(line_form):
